@@ -44,7 +44,6 @@ from .recursion import (
     FlatValue,
     RiemannRow,
     ScanRow,
-    ValueCache,
     evaluate,
     genus0_n4_oracle,
     riemann_diagnostic,
@@ -76,7 +75,6 @@ __all__ = [
     "StarTree",
     "TruncatedSeries",
     "ValidationReport",
-    "ValueCache",
     "WeightVector",
     "aab_table",
     "det_factor_forms",

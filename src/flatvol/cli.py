@@ -12,16 +12,13 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import traceback
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
-from .exact import MultiPoly, format_rational, fresh_var, parse_rational
+from .exact import format_rational, parse_rational
 from .graphs import WeightVector, enumerate_star_graphs
 from .kernels import DEFAULT_CONVENTION, ConventionFlags, aab_table, det_factor_forms, q_factor
-from .polytopes import Block, CascadePolytope, integrate
 from .recursion import (
     evaluate,
     has_integer_entry,
@@ -31,21 +28,10 @@ from .recursion import (
 )
 from .validate import run_validation
 
-VISIBLE_SUBCOMMANDS = ("eval", "volhat", "scan", "graphs", "aab", "q", "riemann", "validate")
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("FLATVOL_THREADS", "")
-    try:
-        val = int(raw)
-    except ValueError:
-        return 1
-    return max(1, val)
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One CLI invocation, serializable and round-trippable."""
+    """One CLI invocation: the subcommand and its parsed options."""
 
     subcommand: str
     g: int | None = None
@@ -56,7 +42,6 @@ class RunConfig:
     term_sign: str = DEFAULT_CONVENTION.term_sign
     fmt: str = "json"
     out: str | None = None
-    threads: int = 1
     steps: int = 100
     base: tuple[str, ...] | None = None
     direction: tuple[str, ...] | None = None
@@ -64,30 +49,9 @@ class RunConfig:
     t_max: str | None = None
     k: tuple[int, ...] = ()
     gmax: int = 3
-    seed: int = 7
-    count: int = 20
 
     def convention(self) -> ConventionFlags:
         return ConventionFlags(s_exponent=self.s_exponent, term_sign=self.term_sign)
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            out[f.name] = list(val) if isinstance(val, tuple) else val
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in d:
-                continue
-            val = d[f.name]
-            if isinstance(val, list):
-                val = tuple(val)
-            kwargs[f.name] = val
-        return cls(**kwargs)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -120,13 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact flat-surface volume polynomials via the star-graph recursion.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.metavar = "{" + ",".join(VISIBLE_SUBCOMMANDS) + "}"
 
     def add_common(sp, formats, default_fmt):
         sp.add_argument("--format", dest="fmt", choices=formats, default=default_fmt)
         sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
-        sp.add_argument("--threads", type=int, default=_default_threads(),
-                        help="parallel tree-term evaluation (env FLATVOL_THREADS)")
 
     def add_convention(sp):
         sp.add_argument("--s-exponent", dest="s_exponent", choices=("shifted", "printed"),
@@ -190,10 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="run the convention matrix property suite")
     add_common(sp, ("text", "json"), "text")
 
-    # maintenance hook, deliberately absent from the subcommand listing
-    sp = sub.add_parser("integrate-test")
-    add_common(sp, ("text",), "text")
-
     return parser
 
 
@@ -247,7 +204,7 @@ def _render_value(doc: dict, fmt: str) -> str:
 
 def cmd_eval(cfg: RunConfig) -> int:
     alpha = _parse_alpha(cfg)
-    fv = evaluate(alpha, i0=cfg.i0, convention=cfg.convention(), threads=max(1, cfg.threads))
+    fv = evaluate(alpha, i0=cfg.i0, convention=cfg.convention())
     vh = None
     if not has_integer_entry(alpha):
         vh = volume_normalization(alpha) * float(fv.value)
@@ -259,7 +216,7 @@ def cmd_volhat(cfg: RunConfig) -> int:
     alpha = _parse_alpha(cfg)
     if has_integer_entry(alpha):
         raise ValueError("wall point: some entry is a positive integer, volhat undefined")
-    fv = evaluate(alpha, i0=cfg.i0, convention=cfg.convention(), threads=max(1, cfg.threads))
+    fv = evaluate(alpha, i0=cfg.i0, convention=cfg.convention())
     vh = volume_normalization(alpha) * float(fv.value)
     _emit(_render_value(_value_doc(fv, vh), cfg.fmt), cfg.out)
     return 0
@@ -282,7 +239,6 @@ def _scan_rows(cfg: RunConfig):
         t_max=t_max,
         i0=cfg.i0,
         convention=cfg.convention(),
-        threads=max(1, cfg.threads),
     )
 
 
@@ -413,46 +369,6 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0 if report.ok else 3
 
 
-def cmd_integrate_test(cfg: RunConfig) -> int:
-    lines = []
-
-    def check(desc, got, want):
-        if got != want:
-            raise AssertionError(f"{desc}: got {got}, want {want}")
-        lines.append(f"ok: {desc} = {want}")
-
-    v1, v2, v3 = fresh_var("p1"), fresh_var("p2"), fresh_var("p3")
-    tri = CascadePolytope((Block((v1, v2, v3), MultiPoly.const(Fraction(1))),))
-    check("2-simplex measure", integrate(MultiPoly.one(), tri), Fraction(1, 2))
-    check("2-simplex first moment", integrate(MultiPoly.variable(v1), tri), Fraction(1, 6))
-
-    b1, b2 = fresh_var("p4"), fresh_var("p5")
-    seg = CascadePolytope((Block((b1, b2), MultiPoly.const(Fraction(1, 2))),))
-    prod = MultiPoly.variable(b1) * MultiPoly.variable(b2)
-    check("segment quadratic moment", integrate(prod, seg), Fraction(1, 48))
-
-    x, y, z = fresh_var("p6"), fresh_var("p7"), fresh_var("p8")
-    casc = CascadePolytope(
-        (
-            Block((x, y), MultiPoly.const(Fraction(1))),
-            Block((z,), MultiPoly.variable(x)),
-        )
-    )
-    check("cascade moment", integrate(MultiPoly.variable(x) * MultiPoly.variable(z), casc),
-          Fraction(1, 3))
-
-    u = fresh_var("p9")
-    atom = CascadePolytope((Block((u,), MultiPoly.const(Fraction(1, 4))),))
-    check("atom substitution", integrate(MultiPoly.variable(u), atom), Fraction(1, 4))
-
-    w = fresh_var("p10")
-    empty = CascadePolytope((Block((w,), MultiPoly.const(Fraction(-1, 3))),))
-    check("empty atom", integrate(MultiPoly.one(), empty), Fraction(0))
-
-    _emit("\n".join(lines) + "\n", cfg.out)
-    return 0
-
-
 _HANDLERS = {
     "eval": cmd_eval,
     "volhat": cmd_volhat,
@@ -462,7 +378,6 @@ _HANDLERS = {
     "q": cmd_q,
     "riemann": cmd_riemann,
     "validate": cmd_validate,
-    "integrate-test": cmd_integrate_test,
 }
 
 

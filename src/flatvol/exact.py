@@ -3,7 +3,7 @@
 Everything downstream of this module is exact.  Rationals are
 ``fractions.Fraction`` (always in lowest terms, positive denominator).
 Polynomials are sparse maps from exponent tuples to nonzero rational
-coefficients; the tuple positions refer to an ordered list of interned
+coefficients; the tuple positions refer to an ordered list of integer
 variable ids carried by each polynomial.  Truncated power series in one
 formal variable z keep a fixed order N and never consult coefficients
 beyond it; the coefficient ring is either Fraction or MultiPoly.
@@ -11,8 +11,8 @@ beyond it; the coefficient ring is either Fraction or MultiPoly.
 
 from __future__ import annotations
 
+import itertools
 import re
-import threading
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -42,51 +42,20 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one of '+', '-', '*', '/' to two rationals."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown rational op: {op!r}")
+_IDS = itertools.count()
+_NAMES: dict[int, str] = {}
 
 
-class VarRegistry:
-    """Interned variable ids with human-readable names for diagnostics."""
-
-    def __init__(self) -> None:
-        self._names: list[str] = []
-        self._lock = threading.Lock()
-
-    def new(self, name: str) -> int:
-        with self._lock:
-            vid = len(self._names)
-            self._names.append(name)
-        return vid
-
-    def name(self, vid: int) -> str:
-        return self._names[vid]
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-
-REGISTRY = VarRegistry()
-
-
-def fresh_var(name: str) -> int:
-    """Intern a new variable id in the shared registry."""
-    return REGISTRY.new(name)
+def fresh_var(name: str | None = None) -> int:
+    """A new variable id; the name, when given, is kept for display only."""
+    vid = next(_IDS)
+    if name is not None:
+        _NAMES[vid] = name
+    return vid
 
 
 def var_name(vid: int) -> str:
-    return REGISTRY.name(vid)
+    return _NAMES.get(vid, f"x{vid}")
 
 
 PolyLike = Union["MultiPoly", Fraction, int]
@@ -220,16 +189,7 @@ class MultiPoly:
                 self.vars, {e: k * c for e, k in self.terms.items()}, _normalized=True
             )
         vs, sa, sb = _align(self, other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in sa.items():
-            for eb, cb in sb.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(vs, out)
+        return MultiPoly(vs, _mul_terms(sa, sb))
 
     __rmul__ = __mul__
 
@@ -284,29 +244,22 @@ class MultiPoly:
             if vid not in images:
                 raise ValueError(f"no image for variable {var_name(vid)}")
             imgs.append(MultiPoly.coerce(images[vid]))
-        out = MultiPoly.zero()
-        powers: dict[tuple[int, int], MultiPoly] = {}
+        vs = tuple(sorted({v for img in imgs for v in img.vars}))
+        one = (0,) * len(vs)
+        powers: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.terms.items():
-            m = MultiPoly.const(c)
+            m = {one: c}
             for i, k in enumerate(e):
                 if not k:
                     continue
                 key = (i, k)
                 if key not in powers:
-                    powers[key] = imgs[i] ** k
-                m = m * powers[key]
-            out = out + m
-        return out
-
-    def rename(self, mapping: Mapping[int, int]) -> MultiPoly:
-        """Rename variables through an injective id map (cheap, no expansion)."""
-        new_ids = [mapping.get(v, v) for v in self.vars]
-        if len(set(new_ids)) != len(new_ids):
-            raise ValueError("variable rename must be injective")
-        order = sorted(range(len(new_ids)), key=lambda i: new_ids[i])
-        vs = tuple(new_ids[i] for i in order)
-        tm = {tuple(e[i] for i in order): c for e, c in self.terms.items()}
-        return MultiPoly(vs, tm, _normalized=True)
+                    powers[key] = _rekey(imgs[i] ** k, vs)
+                m = _mul_terms(m, powers[key])
+            for me, mc in m.items():
+                out[me] = out.get(me, 0) + mc
+        return MultiPoly(vs, out)
 
     # -- display ----------------------------------------------------------
 
@@ -370,6 +323,22 @@ def _rekey(p: MultiPoly, vs: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]
         for v, k in zip(p.vars, e):
             ne[pos[v]] = k
         out[tuple(ne)] = c
+    return out
+
+
+def _mul_terms(
+    sa: Mapping[tuple[int, ...], Fraction], sb: Mapping[tuple[int, ...], Fraction]
+) -> dict[tuple[int, ...], Fraction]:
+    """Product of two term dicts keyed over the same variable tuple."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for ea, ca in sa.items():
+        for eb, cb in sb.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(e, Fraction(0)) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
     return out
 
 

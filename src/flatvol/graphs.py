@@ -374,8 +374,6 @@ class StarTree:
     multiplied together and the blocks cascaded in ancestor-first order.
     """
 
-    graph: StarGraph
-    children: tuple[StarTree, ...]
     integrand: MultiPoly
     domain: CascadePolytope
     ident: str
@@ -416,9 +414,7 @@ def _expand_graph(
     # fresh twist variables, grouped per outer vertex
     edge_vars: list[tuple[int, ...]] = []
     for ov in graph.outer:
-        edge_vars.append(
-            tuple(fresh_var(f"b{next(_EDGE_NAMES)}") for _ in range(ov.edges))
-        )
+        edge_vars.append(tuple(fresh_var() for _ in range(ov.edges)))
 
     # kernel slots: central legs then all edges, negated
     slot_labels = list(graph.legs0)
@@ -491,13 +487,8 @@ def _expand_graph(
             all_blocks.extend(child.domain.blocks)
             bits.append(f"({ov.genus},{ov.edges})" + child.ident)
         ident = node_ident + ("" if not bits else "(" + " ".join(bits) + ")")
-        out.append(
-            StarTree(graph, combo, integrand, CascadePolytope(tuple(all_blocks)), ident)
-        )
+        out.append(StarTree(integrand, CascadePolytope(tuple(all_blocks)), ident))
     return out
-
-
-_EDGE_NAMES = itertools.count(1)
 
 
 def flatten(

@@ -7,9 +7,9 @@ w_1..w_n and a distinguished slot i0 contributes
     A = [z^{2g}]  exp(w_{i0} * z S'(z)/S(z)) * prod_{j != i0} S(w_j z) / S(z)^E
 
 where the exponent E and the sign bookkeeping of the surrounding sum are
-configurable (ConventionFlags).  Slots may be fixed rationals or formal
-variables; with formal slots the result is a polynomial in them, even in
-every formal slot except i0.
+configurable (ConventionFlags).  Slots may be fixed rationals or
+polynomials in formal variables; the result is a polynomial in the slot
+values, even in every slot except i0.
 """
 
 from __future__ import annotations
@@ -120,52 +120,34 @@ _CANON_SLOT_VARS: list[int] = []
 
 def _canon_slot_var(k: int) -> int:
     while len(_CANON_SLOT_VARS) <= k:
-        _CANON_SLOT_VARS.append(fresh_var(f"_slot{len(_CANON_SLOT_VARS)}"))
+        _CANON_SLOT_VARS.append(fresh_var())
     return _CANON_SLOT_VARS[k]
 
 
-_KERNEL_CACHE: dict[tuple, MultiPoly] = {}
+# Bodies over the canonical slot variables, one per vertex shape.
+_KERNEL_CACHE: dict[tuple[int, int, int, int], MultiPoly] = {}
 
 
-def _series_for_slot(order: int, w: MultiPoly, lifted: bool) -> TruncatedSeries:
+def _series_for_slot(order: int, w: MultiPoly) -> TruncatedSeries:
     """S(w z) as a series in z: coefficient of z^k is s_k * w^k."""
     base = series_S(order)
-    if w.is_constant():
-        c = w.constant_value()
-        coeffs = [base.coeffs[k] * c**k for k in range(order + 1)]
-        ts = TruncatedSeries(coeffs, order)
-        return ts.lift() if lifted else ts
     coeffs = []
     wpow = MultiPoly.one()
     for k in range(order + 1):
         if k:
             wpow = wpow * w
-        sk = base.coeffs[k]
-        coeffs.append(MultiPoly.const(sk) * wpow if sk else MultiPoly.zero())
+        coeffs.append(wpow * base.coeffs[k])
     return TruncatedSeries(coeffs, order)
 
 
 def _kernel_body(genus: int, slots: tuple[MultiPoly, ...], i0: int, exponent: int) -> MultiPoly:
     order = 2 * genus
-    lifted = any(not w.is_constant() for w in slots)
-    acc = _series_S_inv_pow(order, exponent)
-    if lifted:
-        acc = acc.lift()
+    acc = _series_S_inv_pow(order, exponent).lift()
     for k, w in enumerate(slots):
-        if k == i0:
-            continue
-        acc = acc * _series_for_slot(order, w, lifted)
-    t = series_zlogS(order)
-    w0 = slots[i0]
-    if w0.is_constant():
-        expo = t.scale(w0.constant_value())
-        if lifted:
-            expo = expo.lift()
-    else:
-        expo = t.lift().scale(w0)
-    acc = acc * expo.exp()
-    top = acc.coefficient(order)
-    return top if isinstance(top, MultiPoly) else MultiPoly.const(top)
+        if k != i0:
+            acc = acc * _series_for_slot(order, w)
+    acc = acc * series_zlogS(order).lift().scale(slots[i0]).exp()
+    return acc.coefficient(order)
 
 
 def kernel_A(
@@ -176,9 +158,9 @@ def kernel_A(
 ) -> KernelPolynomial:
     """Expand the vertex kernel for the given slots.
 
-    slots are fixed rationals or (scaled) formal variables; i0 indexes the
-    distinguished slot.  The returned body has total degree <= 2*genus and
-    is even in every formal slot other than i0.
+    slots are fixed rationals or polynomials in formal variables; i0
+    indexes the distinguished slot.  The returned body has total degree
+    <= 2*genus in the slots and is even in every slot other than i0.
     """
     if genus < 0:
         raise ValueError("vertex genus must be >= 0")
@@ -189,37 +171,15 @@ def kernel_A(
     if exponent < 0:
         raise ValueError("slot exponent is negative, vertex is unstable")
 
-    # Cache key abstracts each slot to a constant or coeff*var signature;
-    # bodies are stored over canonical slot variables and renamed back.
-    sig: list[tuple] = []
-    rename: dict[int, int] = {}
-    cacheable = True
-    for k, w in enumerate(coerced):
-        if w.is_constant():
-            sig.append(("c", w.constant_value()))
-        elif len(w.vars) == 1 and set(w.terms) == {(1,)}:
-            sig.append(("v", k, w.terms[(1,)]))
-            rename[_canon_slot_var(k)] = w.vars[0]
-        else:
-            cacheable = False
-            break
-    if cacheable:
-        key = (genus, tuple(sig), i0, exponent)
-        body = _KERNEL_CACHE.get(key)
-        if body is None:
-            canon = tuple(
-                MultiPoly.const(s[1])
-                if s[0] == "c"
-                else MultiPoly.variable(_canon_slot_var(s[1])) * s[2]
-                for s in sig
-            )
-            body = _kernel_body(genus, canon, i0, exponent)
-            _KERNEL_CACHE[key] = body
-        if len(set(rename.values())) != len(rename):
-            raise ValueError("formal slots must use distinct variables")
-        body = body.rename(rename)
-    else:
-        body = _kernel_body(genus, coerced, i0, exponent)
+    # The body is a polynomial in the slot values: expand it once per shape
+    # over canonical slot variables, then substitute this call's slots.
+    key = (genus, len(coerced), i0, exponent)
+    body = _KERNEL_CACHE.get(key)
+    if body is None:
+        canon = tuple(MultiPoly.variable(_canon_slot_var(k)) for k in range(len(coerced)))
+        body = _kernel_body(genus, canon, i0, exponent)
+        _KERNEL_CACHE[key] = body
+    body = body.substitute({_canon_slot_var(k): w for k, w in enumerate(coerced)})
     return KernelPolynomial(genus, coerced, i0, convention, exponent, body)
 
 

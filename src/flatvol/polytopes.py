@@ -278,12 +278,6 @@ def enumerate_vertices(
     return VRepPolytope(d, verts, tuple(frozenset(found[v]) for v in verts), full)
 
 
-def contains_point(vrep: VRepPolytope, exprs: Sequence[MultiPoly], free: Sequence[int], point: Point) -> bool:
-    """Membership in the closed feasible set (cross-check helper)."""
-    rows = _ineq_rows(exprs, free)
-    return all(b + sum(c * x for c, x in zip(a, point)) >= 0 for b, a in rows)
-
-
 # -- triangulation ---------------------------------------------------------
 
 
@@ -332,7 +326,7 @@ _T_VARS: list[int] = []
 
 def _t_var(k: int) -> int:
     while len(_T_VARS) <= k:
-        _T_VARS.append(fresh_var(f"_t{len(_T_VARS)}"))
+        _T_VARS.append(fresh_var())
     return _T_VARS[k]
 
 

@@ -14,15 +14,12 @@ convention v is independent of i0 and symmetric in the entries; the
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exact import MultiPoly, fresh_var
 from .graphs import (
-    StarGraph,
-    StarTree,
     WeightVector,
     domain_of,
     enumerate_k_twists,
@@ -45,41 +42,11 @@ class FlatValue:
     terms: tuple[tuple[str, Fraction], ...]
 
 
-class ValueCache:
-    """Cache of v keyed by (genus, sorted entries).
-
-    Sound only for the default convention, which is symmetric in the
-    entries and independent of i0; any other convention bypasses it.
-    """
-
-    def __init__(self) -> None:
-        self._store: dict[tuple, Fraction] = {}
-
-    def _key(self, alpha: WeightVector, convention: ConventionFlags):
-        if convention != DEFAULT_CONVENTION:
-            return None
-        return (alpha.genus, tuple(sorted(alpha.entries)))
-
-    def get(self, alpha: WeightVector, convention: ConventionFlags):
-        k = self._key(alpha, convention)
-        return self._store.get(k) if k is not None else None
-
-    def put(self, alpha: WeightVector, convention: ConventionFlags, value: Fraction) -> None:
-        k = self._key(alpha, convention)
-        if k is not None:
-            self._store[k] = value
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
 def evaluate(
     alpha: WeightVector,
     i0: int = 1,
     convention: ConventionFlags = DEFAULT_CONVENTION,
     i0_policy: str = "smallest_marking",
-    threads: int = 1,
-    cache: ValueCache | None = None,
 ) -> FlatValue:
     """Exact value of v(alpha) with the i0-rooted graph sum.
 
@@ -88,26 +55,12 @@ def evaluate(
     """
     if i0 not in alpha.labels():
         raise ValueError(f"i0 = {i0} is not a marking label")
-    if cache is not None:
-        hit = cache.get(alpha, convention)
-        if hit is not None:
-            return FlatValue(alpha, i0, convention, hit, (("cached", hit),))
-    trees: list[StarTree] = []
+    terms: list[tuple[str, Fraction]] = []
     for gph in enumerate_star_graphs(alpha.genus, alpha.labels(), i0):
-        trees.extend(flatten(gph, alpha, convention, i0_policy))
-
-    def one(t: StarTree) -> Fraction:
-        return integrate(t.integrand, t.domain)
-
-    if threads > 1 and len(trees) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, trees))
-    else:
-        values = [one(t) for t in trees]
-    terms = sorted(zip((t.ident for t in trees), values))
-    total = sum(values, Fraction(0))
-    if cache is not None:
-        cache.put(alpha, convention, total)
+        for t in flatten(gph, alpha, convention, i0_policy):
+            terms.append((t.ident, integrate(t.integrand, t.domain)))
+    terms.sort()
+    total = sum((v for _, v in terms), Fraction(0))
     return FlatValue(alpha, i0, convention, total, tuple(terms))
 
 
@@ -148,13 +101,11 @@ def volhat(
     alpha: WeightVector,
     i0: int = 1,
     convention: ConventionFlags = DEFAULT_CONVENTION,
-    threads: int = 1,
-    cache: ValueCache | None = None,
 ) -> float:
     """Normalized volume, double precision; wall points are an error."""
     if has_integer_entry(alpha):
         raise ValueError("wall point: some entry is a positive integer, volhat undefined")
-    fv = evaluate(alpha, i0, convention, threads=threads, cache=cache)
+    fv = evaluate(alpha, i0, convention)
     return volume_normalization(alpha) * float(fv.value)
 
 
@@ -177,7 +128,6 @@ def scan(
     t_max: Fraction | None = None,
     i0: int = 1,
     convention: ConventionFlags = DEFAULT_CONVENTION,
-    threads: int = 1,
 ) -> list[ScanRow]:
     """Sample v along the line alpha(t) = base + t * direction.
 
@@ -185,6 +135,8 @@ def scan(
     sampled at t = t_min + i*(t_max - t_min)/(steps+1), i = 1..steps.
     Rows hitting a wall (integer entry) carry flag "wall" and no volhat;
     rows leaving the positive cone carry flag "invalid" and no value.
+    Under the default convention v is symmetric in the entries, so rows
+    with the same entry multiset share one evaluation.
     """
     if base is None or direction is None:
         if n != 2:
@@ -210,7 +162,7 @@ def scan(
             raise ValueError("explicit slices need t_min and t_max")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    cache = ValueCache()
+    memo: dict[tuple[Fraction, ...], Fraction] = {}
     rows: list[ScanRow] = []
     span = Fraction(t_max) - Fraction(t_min)
     for i in range(1, steps + 1):
@@ -220,12 +172,18 @@ def scan(
             rows.append(ScanRow(t, entries, None, None, "invalid"))
             continue
         alpha = WeightVector(genus, entries)
-        fv = evaluate(alpha, i0, convention, threads=threads, cache=cache)
+        if convention == DEFAULT_CONVENTION:
+            key = tuple(sorted(alpha.entries))
+            if key not in memo:
+                memo[key] = evaluate(alpha, i0, convention).value
+            value = memo[key]
+        else:
+            value = evaluate(alpha, i0, convention).value
         if has_integer_entry(alpha):
-            rows.append(ScanRow(t, entries, fv.value, None, "wall"))
+            rows.append(ScanRow(t, entries, value, None, "wall"))
         else:
             rows.append(
-                ScanRow(t, entries, fv.value, volume_normalization(alpha) * float(fv.value), "")
+                ScanRow(t, entries, value, volume_normalization(alpha) * float(value), "")
             )
     return rows
 
@@ -257,10 +215,7 @@ def riemann_diagnostic(
         info = domain_of(gph, wmap)
         if info.empty:
             continue
-        bvars = [
-            tuple(fresh_var(f"r{j}_{i}") for i in range(ov.edges))
-            for j, ov in enumerate(gph.outer)
-        ]
+        bvars = [tuple(fresh_var() for _ in range(ov.edges)) for ov in gph.outer]
         blocks = tuple(
             Block(vs, MultiPoly.const(c)) for vs, c in zip(bvars, info.levels)
         )

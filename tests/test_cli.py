@@ -3,13 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatvol.cli import (
-    RunConfig,
-    VISIBLE_SUBCOMMANDS,
-    _default_threads,
-    build_parser,
-    main,
-)
+from flatvol.cli import build_parser, main
 
 
 def _run(capsys, *argv):
@@ -149,16 +143,9 @@ def test_validate_exits_clean(capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_integrate_test_subcommand(capsys):
-    code, out, _ = _run(capsys, "integrate-test")
-    assert code == 0
-    assert all(ln.startswith("ok:") for ln in out.strip().split("\n"))
-
-
-def test_integrate_test_hidden_from_help():
+def test_help_lists_subcommands():
     text = build_parser().format_help()
-    assert "integrate-test" not in text
-    for name in VISIBLE_SUBCOMMANDS:
+    for name in ("eval", "volhat", "scan", "graphs", "aab", "q", "riemann", "validate"):
         assert name in text
 
 
@@ -169,26 +156,3 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     code, out, _ = _run(capsys, *argv, "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text(encoding="utf-8") == stdout_text
-
-
-def test_runconfig_round_trip():
-    cfg = RunConfig(subcommand="riemann", g=1, alpha=("3/2", "1/2"), k=(20, 40, 80))
-    blob = json.dumps(cfg.to_dict())
-    assert RunConfig.from_dict(json.loads(blob)) == cfg
-
-
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("FLATVOL_THREADS", "4")
-    assert _default_threads() == 4
-    monkeypatch.setenv("FLATVOL_THREADS", "junk")
-    assert _default_threads() == 1
-    monkeypatch.setenv("FLATVOL_THREADS", "-3")
-    assert _default_threads() == 1
-    monkeypatch.delenv("FLATVOL_THREADS")
-    assert _default_threads() == 1
-
-
-def test_threads_flag_accepted(capsys):
-    code, out, _ = _run(capsys, "eval", "--g", "1", "--alpha", "5/4,5/4,1/2", "--threads", "3")
-    assert code == 0
-    assert json.loads(out)["v"] == "-5/3072"

@@ -12,7 +12,6 @@ from flatvol.exact import (
     format_rational,
     fresh_var,
     parse_rational,
-    rational_arith,
     var_name,
 )
 
@@ -43,23 +42,15 @@ def test_format_rational_round_trip():
     assert format_rational(Fraction(-1, 3)) == "-1/3"
 
 
-def test_rational_arith():
-    a, b = Fraction(2, 3), Fraction(5, 7)
-    assert rational_arith(a, b, "+") == a + b
-    assert rational_arith(a, b, "-") == a - b
-    assert rational_arith(a, b, "*") == a * b
-    assert rational_arith(a, b, "/") == a / b
-    with pytest.raises(ZeroDivisionError):
-        rational_arith(a, Fraction(0), "/")
-    with pytest.raises(ValueError):
-        rational_arith(a, b, "%")
-
-
 def test_var_registry():
     v = fresh_var("t")
     w = fresh_var("t")
     assert v != w
     assert var_name(v) == var_name(w) == "t"
+    # unnamed ids store nothing and render by number
+    u = fresh_var()
+    assert u not in (v, w)
+    assert var_name(u) == f"x{u}"
 
 
 def _rand_poly(rng, vs, nterms=4, maxdeg=3):
@@ -140,17 +131,6 @@ def test_multipoly_substitute_missing_image():
     p = MultiPoly.variable(x) * MultiPoly.variable(y)
     with pytest.raises(ValueError):
         p.substitute({x: MultiPoly.one()})
-
-
-def test_multipoly_rename():
-    x, y, w = fresh_var("x"), fresh_var("y"), fresh_var("w")
-    p = MultiPoly.variable(x) ** 2 + MultiPoly.variable(y)
-    q = p.rename({x: w, y: y})
-    assert q.degree_in(w) == 2
-    assert q.degree_in(x) == 0
-    # non-injective maps are refused, they would merge monomials silently
-    with pytest.raises(ValueError):
-        p.rename({x: y, y: y})
 
 
 def test_compose_affine():

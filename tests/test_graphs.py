@@ -230,4 +230,5 @@ def test_flatten_depth_two_has_closed_root_domain():
         for t in flatten(gph, w):
             assert t.domain.external_vars == ()
             for blk in t.domain.blocks:
-                assert all(var_name(v).startswith("b") for v in blk.vars)
+                # twist variables are engine ids, allocated without a stored name
+                assert all(var_name(v) == f"x{v}" for v in blk.vars)

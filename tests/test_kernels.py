@@ -12,6 +12,7 @@ from flatvol.kernels import (
     DEFAULT_CONVENTION,
     PRINTED_CONVENTION,
     ConventionFlags,
+    _kernel_body,
     aab_table,
     det_factor_forms,
     kernel_A,
@@ -101,9 +102,11 @@ def test_kernel_symbolic_matches_closed_form():
 
 
 def test_kernel_cache_consistency():
-    # cached monomial-slot path must agree with the generic fallback
+    # bodies are cached per vertex shape and substituted per call; every
+    # slot form must agree with a direct expansion and with constant slots
     x, y = fresh_var("cx"), fresh_var("cy")
-    slots = (MultiPoly.variable(x) * Fraction(-1), MultiPoly.variable(y))
+    px, py = MultiPoly.variable(x), MultiPoly.variable(y)
+    slots = (px * Fraction(-1), py)
     body = kernel_A(1, slots, 0, convention=DEFAULT_CONVENTION).body
     again = kernel_A(1, slots, 0, convention=DEFAULT_CONVENTION).body
     assert body == again
@@ -115,6 +118,20 @@ def test_kernel_cache_consistency():
         convention=DEFAULT_CONVENTION,
     ).value()
     assert body.evaluate(pt) == direct
+
+    half = MultiPoly.const(Fraction(1, 2))
+    cases = (
+        (px + Fraction(1, 3), py),  # affine, non-monomial slot
+        (px, -px, half),  # two slots sharing one variable
+    )
+    for genus in (1, 2):
+        for case in cases:
+            at_pt = tuple(MultiPoly.const(w.evaluate(pt)) for w in case)
+            for i0 in range(len(case)):
+                kp = kernel_A(genus, case, i0, convention=DEFAULT_CONVENTION)
+                assert kp.body == _kernel_body(genus, case, i0, kp.exponent)
+                const = kernel_A(genus, at_pt, i0, convention=DEFAULT_CONVENTION)
+                assert kp.body.evaluate(pt) == const.value()
 
 
 def test_kernel_genus2_slot_degrees():

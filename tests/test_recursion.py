@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from flatvol import exact, kernels, recursion
 from flatvol.graphs import WeightVector
-from flatvol.kernels import DEFAULT_CONVENTION, PRINTED_CONVENTION, ConventionFlags
+from flatvol.kernels import PRINTED_CONVENTION, ConventionFlags
 from flatvol.recursion import (
-    ValueCache,
     evaluate,
     genus0_n4_oracle,
     has_integer_entry,
@@ -165,26 +165,38 @@ def test_evaluate_input_checks():
         WeightVector(0, (Fraction(-1, 2), Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)))
 
 
-def test_threads_do_not_change_values():
-    w = _w(0, "17/10", "3/10", "1/4", "1/4", "1/2")
-    assert evaluate(w, threads=4).value == evaluate(w, threads=1).value
-    w2 = _w(2, "1/2", "7/2")
-    assert evaluate(w2, threads=2).value == evaluate(w2, threads=1).value
+def test_state_stays_bounded():
+    # kernel bodies are cached per vertex shape and engine variables get
+    # no stored name, so many evaluations leave no growing global state
+    rng = random.Random(40)
+    names = len(exact._NAMES)
+    for i in range(1, 41):
+        evaluate(_random_alpha(rng, 1, 4))
+        if i == 10:
+            after_warmup = len(kernels._KERNEL_CACHE)
+    assert len(kernels._KERNEL_CACHE) == after_warmup
+    assert len(exact._NAMES) == names
 
 
-def test_value_cache():
-    cache = ValueCache()
-    w = _w(1, "1/2", "3/2")
-    v1 = evaluate(w, cache=cache).value
-    assert len(cache) >= 1
-    v2 = evaluate(w, cache=cache).value
-    assert v1 == v2 == Fraction(-1, 192)
-    # permuted entries hit the same key
-    assert cache.get(_w(1, "3/2", "1/2"), DEFAULT_CONVENTION) == v1
+def test_scan_memo(monkeypatch):
+    calls = []
 
-    printed_cache = ValueCache()
-    evaluate(w, convention=PRINTED_CONVENTION, cache=printed_cache)
-    assert len(printed_cache) == 0
+    def counting(alpha, *args, **kwargs):
+        calls.append(tuple(sorted(alpha.entries)))
+        return evaluate(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(recursion, "evaluate", counting)
+    rows = scan(1, steps=9)
+    # the default convention is symmetric: each entry multiset is evaluated
+    # once, and the mirrored rows (t, 2 - t) and (2 - t, t) share the value
+    assert len(calls) == len(set(calls)) == 5
+    assert {tuple(sorted(r.alpha)) for r in rows} == set(calls)
+    for r, mirror in zip(rows, reversed(rows)):
+        assert r.alpha == mirror.alpha[::-1] and r.value == mirror.value
+
+    calls.clear()
+    rows = scan(1, steps=9, convention=PRINTED_CONVENTION)
+    assert len(calls) == sum(1 for r in rows if r.flag != "invalid") == 9
 
 
 def test_volume_normalization_and_volhat():
