@@ -12,8 +12,10 @@ beyond it; the coefficient ring is either Fraction or MultiPoly.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -237,7 +239,11 @@ class MultiPoly:
         """Replace every variable by its image polynomial and expand.
 
         Every variable of self must have an image; a missing one is an
-        error rather than an identity substitution.
+        error rather than an identity substitution.  The expansion runs on
+        integer numerators: each image is num_i / den_i, a term
+        c * prod img_i^k_i is c.numerator * prod num_i^k_i over
+        c.denominator * prod den_i^k_i, and all terms are summed over the
+        lcm of those denominators.
         """
         imgs: list[MultiPoly] = []
         for vid in self.vars:
@@ -246,20 +252,33 @@ class MultiPoly:
             imgs.append(MultiPoly.coerce(images[vid]))
         vs = tuple(sorted({v for img in imgs for v in img.vars}))
         one = (0,) * len(vs)
-        powers: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
-        out: dict[tuple[int, ...], Fraction] = {}
+        nums: list[dict[tuple[int, ...], int]] = []
+        dens: list[int] = []
+        for img in imgs:
+            den = math.lcm(*(c.denominator for c in img.terms.values()))
+            nums.append({e: c.numerator * (den // c.denominator) for e, c in _rekey(img, vs).items()})
+            dens.append(den)
+        term_dens = []
         for e, c in self.terms.items():
-            m = {one: c}
+            d = c.denominator
+            for den, k in zip(dens, e):
+                d *= den**k
+            term_dens.append(d)
+        common = math.lcm(*term_dens)
+        powers: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+        out: dict[tuple[int, ...], int] = {}
+        for (e, c), d in zip(self.terms.items(), term_dens):
+            m = {one: c.numerator * (common // d)}
             for i, k in enumerate(e):
                 if not k:
                     continue
                 key = (i, k)
                 if key not in powers:
-                    powers[key] = _rekey(imgs[i] ** k, vs)
+                    powers[key] = _int_pow(nums[i], k, one)
                 m = _mul_terms(m, powers[key])
             for me, mc in m.items():
                 out[me] = out.get(me, 0) + mc
-        return MultiPoly(vs, out)
+        return MultiPoly(vs, {e: Fraction(n, common) for e, n in out.items() if n})
 
     # -- display ----------------------------------------------------------
 
@@ -327,19 +346,40 @@ def _rekey(p: MultiPoly, vs: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]
 
 
 def _mul_terms(
-    sa: Mapping[tuple[int, ...], Fraction], sb: Mapping[tuple[int, ...], Fraction]
-) -> dict[tuple[int, ...], Fraction]:
-    """Product of two term dicts keyed over the same variable tuple."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    sa: Mapping[tuple[int, ...], Fraction | int], sb: Mapping[tuple[int, ...], Fraction | int]
+) -> dict[tuple[int, ...], Fraction | int]:
+    """Product of two term dicts keyed over the same variable tuple.
+
+    Coefficients are all ints or all Fractions; the result keeps their type.
+    """
+    out: dict[tuple[int, ...], Fraction | int] = {}
+    get = out.get
     for ea, ca in sa.items():
         for eb, cb in sb.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e, Fraction(0)) + ca * cb
+            e = tuple(map(add, ea, eb))
+            s = get(e, 0) + ca * cb
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
     return out
+
+
+def _int_pow(
+    base: dict[tuple[int, ...], int], n: int, one: tuple[int, ...]
+) -> dict[tuple[int, ...], int]:
+    """n-th power of an integer term dict.
+
+    Squares in the same order as MultiPoly.__pow__, so the terms come out
+    in the same order as a Fraction expansion would give them.
+    """
+    result = {one: 1}
+    while n:
+        if n & 1:
+            result = _mul_terms(result, base)
+        base = _mul_terms(base, base) if n > 1 else base
+        n >>= 1
+    return result
 
 
 def compose_affine(p: MultiPoly, images: Mapping[int, PolyLike]) -> MultiPoly:

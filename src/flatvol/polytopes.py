@@ -130,22 +130,32 @@ def parametrize(dom: CascadePolytope) -> ParamSystem:
 # -- exact linear algebra -------------------------------------------------
 
 
-def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a square rational system; None when singular."""
+def solve_square(rows: Sequence[Sequence[int]], rhs: Sequence[int]):
+    """Solve a square integer system by fraction-free (Bareiss) elimination.
+
+    Returns (numerators, denominator) with x_i = numerators[i] / denominator
+    and denominator > 0, or None when the system is singular.  Every
+    division is exact, since after step k each entry is, up to sign, a
+    k x k minor of the augmented matrix.
+    """
     n = len(rows)
     a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
             return None
         a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        pivot_row = a[col]
+        p = pivot_row[col]
         for r in range(n):
-            if r != col and a[r][col]:
+            if r != col:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], pivot_row)]
+        prev = p
+    if prev < 0:
+        return [-a[i][n] for i in range(n)], -prev
+    return [a[i][n] for i in range(n)], prev
 
 
 def matrix_rank(rows: Iterable[Sequence[Fraction]]) -> int:
@@ -255,19 +265,23 @@ def enumerate_vertices(
         raise ValueError(
             f"dimension {d} exceeds bound {dim_bound}; decompose the domain first"
         )
-    rows = _ineq_rows(exprs, free)
+    rows = []
+    for b, a in _ineq_rows(exprs, free):
+        # a positive scale keeps every sign, so feasibility and tightness hold
+        scale = math.lcm(b.denominator, *(c.denominator for c in a))
+        rows.append((b.numerator * (scale // b.denominator),
+                     [c.numerator * (scale // c.denominator) for c in a]))
     found: dict[Point, set[int]] = {}
     for combo in itertools.combinations(range(len(rows)), d):
-        mat = [rows[i][1] for i in combo]
-        rhs = [-rows[i][0] for i in combo]
-        sol = solve_square(mat, rhs)
+        sol = solve_square([rows[i][1] for i in combo], [-rows[i][0] for i in combo])
         if sol is None:
             continue
-        pt = tuple(sol)
-        vals = [b + sum(c * x for c, x in zip(a, pt)) for b, a in rows]
+        num, den = sol
+        vals = [b * den + sum(c * x for c, x in zip(a, num)) for b, a in rows]
         if any(v < 0 for v in vals):
             continue
         tight = {i for i, v in enumerate(vals) if v == 0}
+        pt = tuple(Fraction(x, den) for x in num)
         prev = found.get(pt)
         if prev is None:
             found[pt] = tight
@@ -350,14 +364,16 @@ def integrate_over_simplex(p: MultiPoly, simplex: Sequence[Point], free: Sequenc
             v0[i], {_t_var(j): cols[j][i] for j in range(d)}
         )
     q = compose_affine(p, images)
-    total = Fraction(0)
+    # sum c * prod m_i! / (|m| + d)! over the common denominator den * (D + d)!
+    den = math.lcm(*(c.denominator for c in q.terms.values()))
+    top = math.factorial(q.total_degree() + d)
+    acc = 0
     for exps, c in q.terms.items():
-        msum = sum(exps)
-        num = Fraction(1)
+        w = c.numerator * (den // c.denominator) * (top // math.factorial(sum(exps) + d))
         for m in exps:
-            num *= math.factorial(m)
-        total += c * num / math.factorial(msum + d)
-    return abs(det) * total
+            w *= math.factorial(m)
+        acc += w
+    return abs(det) * Fraction(acc, den * top)
 
 
 def integrate(p: MultiPoly, dom: CascadePolytope, apex_rule: str = "lex_min") -> Fraction:

@@ -113,17 +113,46 @@ def test_multipoly_pow():
         p ** -1
 
 
+def _substitute_by_products(p, images):
+    """Reference expansion through MultiPoly.__mul__ and __pow__ on Fractions."""
+    out = MultiPoly.zero()
+    for e, c in p.terms.items():
+        term = MultiPoly.const(c)
+        for v, k in zip(p.vars, e):
+            term = term * MultiPoly.coerce(images[v]) ** k
+        out = out + term
+    return out
+
+
 def test_multipoly_substitute_composes():
     rng = random.Random(5)
-    x, y = fresh_var("x"), fresh_var("y")
+    x, y, s, t = fresh_var("x"), fresh_var("y"), fresh_var("s"), fresh_var("t")
+    ps, pt = MultiPoly.variable(s), MultiPoly.variable(t)
+    cases = []
     for _ in range(10):
         p = _rand_poly(rng, (x, y))
         img = _rand_poly(rng, (y,), nterms=2, maxdeg=2)
-        sub = p.substitute({x: img, y: MultiPoly.variable(y)})
+        cases.append((p, {x: img, y: MultiPoly.variable(y)}))
+    # two-variable images over /7 and /9 with negative coefficients
+    mixed = {x: ps * Fraction(-2, 7) + pt * Fraction(5, 9) - Fraction(1, 63),
+             y: ps * pt * Fraction(-4, 9) + Fraction(3, 7)}
+    for _ in range(5):
+        cases.append((_rand_poly(rng, (x, y)), mixed))
+    p = _rand_poly(rng, (x, y))
+    cases.append((p, {x: MultiPoly.zero(), y: ps * Fraction(-1, 7) + Fraction(2, 9)}))
+    cases.append((p, {x: Fraction(-5, 9), y: MultiPoly.const(Fraction(4, 7))}))
+    third = pt * Fraction(1, 3)
+    cases.append((MultiPoly.variable(x) - MultiPoly.variable(y), {x: third, y: third}))
+    for p, images in cases:
+        sub = p.substitute(images)
+        ref = _substitute_by_products(p, images)
+        assert sub.vars == ref.vars and sub.terms == ref.terms
+        assert all(type(c) is Fraction for c in sub.terms.values())
         for _ in range(3):
-            a = {y: Fraction(rng.randint(-4, 4), rng.randint(1, 3))}
-            inner = img.evaluate(a)
-            assert sub.evaluate(a) == p.evaluate({x: inner, y: a[y]})
+            a = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in (y, s, t)}
+            inner = {v: MultiPoly.coerce(img).evaluate(a) for v, img in images.items()}
+            assert sub.evaluate(a) == p.evaluate(inner)
+    assert sub.is_zero() and sub.vars == ()
 
 
 def test_multipoly_substitute_missing_image():

@@ -163,6 +163,19 @@ def test_vertex_enumeration_square():
     z, o = Fraction(0), Fraction(1)
     assert pts == {(z, z), (z, o), (o, z), (o, o)}
 
+    # the irregular quadrilateral of test_triangulation_apex_independence:
+    # rational rows, and a vertex cut out by two slanted facets
+    quad = [px, py, MultiPoly.const(Fraction(3, 2)) - px - py,
+            MultiPoly.one() - py + px * Fraction(1, 3)]
+    tight = {(z, z): {0, 1}, (Fraction(3, 2), z): {1, 2}, (z, o): {0, 3},
+             (Fraction(3, 8), Fraction(9, 8)): {2, 3}}
+    # the second order makes the first basis (y, x), whose determinant is -1
+    for order in ((0, 1, 2, 3), (1, 0, 3, 2)):
+        vrep = enumerate_vertices([quad[i] for i in order], free, 8)
+        assert vrep.full_dim
+        got = {v: {order[i] for i in t} for v, t in zip(vrep.vertices, vrep.tight)}
+        assert got == tight
+
 
 def test_vertex_enumeration_dim_bound():
     vs = [fresh_var(f"db{i}") for i in range(4)]

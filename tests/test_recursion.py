@@ -64,6 +64,13 @@ def test_frozen_higher_genus_values():
     assert evaluate(_w(2, "7/4", "9/4")).value == Fraction(171, 2097152)
 
 
+def test_genus3_pinned_value_and_i0_independence():
+    # the first pinned point of the benchmark's genus3 workload
+    w = _w(3, "1/3", "17/3")
+    assert evaluate(w).value == Fraction(-242, 1594323)
+    assert evaluate(w, i0=2).value == Fraction(-242, 1594323)
+
+
 def test_terms_sum_to_value():
     for w in (_w(0, "9/10", "3/10", "1/2", "3/10"), _w(1, "1/2", "3/2"), _w(2, "1/2", "7/2")):
         fv = evaluate(w)
