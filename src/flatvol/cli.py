@@ -14,7 +14,6 @@ import io
 import json
 import sys
 import traceback
-from dataclasses import dataclass, fields
 
 from .exact import format_rational, parse_rational
 from .graphs import WeightVector, enumerate_star_graphs
@@ -27,41 +26,6 @@ from .recursion import (
     volume_normalization,
 )
 from .validate import run_validation
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: the subcommand and its parsed options."""
-
-    subcommand: str
-    g: int | None = None
-    n: int | None = None
-    alpha: tuple[str, ...] | None = None
-    i0: int = 1
-    s_exponent: str = DEFAULT_CONVENTION.s_exponent
-    term_sign: str = DEFAULT_CONVENTION.term_sign
-    fmt: str = "json"
-    out: str | None = None
-    steps: int = 100
-    base: tuple[str, ...] | None = None
-    direction: tuple[str, ...] | None = None
-    t_min: str | None = None
-    t_max: str | None = None
-    k: tuple[int, ...] = ()
-    gmax: int = 3
-
-    def convention(self) -> ConventionFlags:
-        return ConventionFlags(s_exponent=self.s_exponent, term_sign=self.term_sign)
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        kwargs = {"subcommand": args.subcommand}
-        for f in fields(cls):
-            if f.name == "subcommand":
-                continue
-            if hasattr(args, f.name):
-                kwargs[f.name] = getattr(args, f.name)
-        return cls(**kwargs)
 
 
 def _comma_list(raw: str) -> tuple[str, ...]:
@@ -162,13 +126,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_alpha(cfg: RunConfig) -> WeightVector:
-    if cfg.g is None or cfg.alpha is None:
-        raise ValueError("need --g and --alpha")
-    entries = tuple(parse_rational(tok) for tok in cfg.alpha)
-    if cfg.n is not None and cfg.n != len(entries):
-        raise ValueError(f"--n {cfg.n} does not match {len(entries)} alpha entries")
-    return WeightVector(cfg.g, entries)
+def _parse_alpha(args: argparse.Namespace) -> WeightVector:
+    entries = tuple(parse_rational(tok) for tok in args.alpha)
+    n = getattr(args, "n", None)
+    if n is not None and n != len(entries):
+        raise ValueError(f"--n {n} does not match {len(entries)} alpha entries")
+    return WeightVector(args.g, entries)
 
 
 def _value_doc(fv, vh: float | None) -> dict:
@@ -202,52 +165,50 @@ def _render_value(doc: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    alpha = _parse_alpha(cfg)
-    fv = evaluate(alpha, i0=cfg.i0, convention=cfg.convention())
+def cmd_eval(args: argparse.Namespace) -> int:
+    alpha = _parse_alpha(args)
+    fv = evaluate(alpha, i0=args.i0, convention=ConventionFlags(args.s_exponent, args.term_sign))
     vh = None
     if not has_integer_entry(alpha):
         vh = volume_normalization(alpha) * float(fv.value)
-    _emit(_render_value(_value_doc(fv, vh), cfg.fmt), cfg.out)
+    _emit(_render_value(_value_doc(fv, vh), args.fmt), args.out)
     return 0
 
 
-def cmd_volhat(cfg: RunConfig) -> int:
-    alpha = _parse_alpha(cfg)
+def cmd_volhat(args: argparse.Namespace) -> int:
+    alpha = _parse_alpha(args)
     if has_integer_entry(alpha):
         raise ValueError("wall point: some entry is a positive integer, volhat undefined")
-    fv = evaluate(alpha, i0=cfg.i0, convention=cfg.convention())
+    fv = evaluate(alpha, i0=args.i0, convention=ConventionFlags(args.s_exponent, args.term_sign))
     vh = volume_normalization(alpha) * float(fv.value)
-    _emit(_render_value(_value_doc(fv, vh), cfg.fmt), cfg.out)
+    _emit(_render_value(_value_doc(fv, vh), args.fmt), args.out)
     return 0
 
 
-def _scan_rows(cfg: RunConfig):
-    t_min = parse_rational(cfg.t_min) if cfg.t_min is not None else None
-    t_max = parse_rational(cfg.t_max) if cfg.t_max is not None else None
-    base = tuple(parse_rational(tok) for tok in cfg.base) if cfg.base else None
-    direction = tuple(parse_rational(tok) for tok in cfg.direction) if cfg.direction else None
-    if cfg.g is None:
-        raise ValueError("need --g")
+def _scan_rows(args: argparse.Namespace):
+    t_min = parse_rational(args.t_min) if args.t_min is not None else None
+    t_max = parse_rational(args.t_max) if args.t_max is not None else None
+    base = tuple(parse_rational(tok) for tok in args.base) if args.base else None
+    direction = tuple(parse_rational(tok) for tok in args.direction) if args.direction else None
     return scan(
-        cfg.g,
-        n=cfg.n if cfg.n is not None else 2,
-        steps=cfg.steps,
+        args.g,
+        n=args.n,
+        steps=args.steps,
         base=base,
         direction=direction,
         t_min=t_min,
         t_max=t_max,
-        i0=cfg.i0,
-        convention=cfg.convention(),
+        i0=args.i0,
+        convention=ConventionFlags(args.s_exponent, args.term_sign),
     )
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    rows = _scan_rows(cfg)
-    if cfg.fmt == "json":
+def cmd_scan(args: argparse.Namespace) -> int:
+    rows = _scan_rows(args)
+    if args.fmt == "json":
         doc = {
-            "g": cfg.g,
-            "n": cfg.n if cfg.n is not None else 2,
+            "g": args.g,
+            "n": args.n,
             "rows": [
                 {
                     "t": format_rational(r.t),
@@ -259,7 +220,7 @@ def cmd_scan(cfg: RunConfig) -> int:
                 for r in rows
             ],
         }
-        _emit(json.dumps(doc, indent=2, allow_nan=False) + "\n", cfg.out)
+        _emit(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
         return 0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -270,50 +231,48 @@ def cmd_scan(cfg: RunConfig) -> int:
         v_den = str(r.value.denominator) if r.value is not None else ""
         vh = repr(r.volhat) if r.volhat is not None else ""
         writer.writerow([repr(float(r.t)), alpha_col, v_num, v_den, vh, r.flag])
-    _emit(buf.getvalue(), cfg.out)
+    _emit(buf.getvalue(), args.out)
     return 0
 
 
-def cmd_graphs(cfg: RunConfig) -> int:
-    if cfg.g is None or cfg.n is None:
-        raise ValueError("need --g and --n")
-    markings = tuple(range(1, cfg.n + 1))
+def cmd_graphs(args: argparse.Namespace) -> int:
+    markings = tuple(range(1, args.n + 1))
     weights = None
-    if cfg.alpha is not None:
-        weights = _parse_alpha(cfg).weight_map()
-    graphs = enumerate_star_graphs(cfg.g, markings, cfg.i0)
+    if args.alpha is not None:
+        weights = _parse_alpha(args).weight_map()
+    graphs = enumerate_star_graphs(args.g, markings, args.i0)
     lines = [gph.encode(weights) for gph in graphs]
-    if cfg.fmt == "json":
-        _emit(json.dumps(lines, indent=2) + "\n", cfg.out)
+    if args.fmt == "json":
+        _emit(json.dumps(lines, indent=2) + "\n", args.out)
     else:
-        _emit("\n".join(lines) + ("\n" if lines else ""), cfg.out)
+        _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0
 
 
-def cmd_aab(cfg: RunConfig) -> int:
-    if cfg.gmax < 1:
+def cmd_aab(args: argparse.Namespace) -> int:
+    if args.gmax < 1:
         raise ValueError("--gmax must be >= 1")
-    table = aab_table(cfg.gmax)
-    if cfg.fmt == "json":
-        doc = {"gmax": cfg.gmax, "a": [format_rational(table.a(g)) for g in range(1, cfg.gmax + 1)]}
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+    table = aab_table(args.gmax)
+    if args.fmt == "json":
+        doc = {"gmax": args.gmax, "a": [format_rational(table.a(g)) for g in range(1, args.gmax + 1)]}
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
         return 0
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["g", "num", "den"])
-        for g in range(1, cfg.gmax + 1):
+        for g in range(1, args.gmax + 1):
             val = table.a(g)
             writer.writerow([g, val.numerator, val.denominator])
-        _emit(buf.getvalue(), cfg.out)
+        _emit(buf.getvalue(), args.out)
         return 0
-    lines = [f"a_{g} = {format_rational(table.a(g))}" for g in range(1, cfg.gmax + 1)]
-    _emit("\n".join(lines) + "\n", cfg.out)
+    lines = [f"a_{g} = {format_rational(table.a(g))}" for g in range(1, args.gmax + 1)]
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_q(cfg: RunConfig) -> int:
-    alpha = _parse_alpha(cfg)
+def cmd_q(args: argparse.Namespace) -> int:
+    alpha = _parse_alpha(args)
     q = q_factor(alpha.genus, alpha.entries)
     sym, closed = det_factor_forms(alpha.genus, alpha.entries)
     doc = {
@@ -324,20 +283,20 @@ def cmd_q(cfg: RunConfig) -> int:
         "det_sym": sym,
         "det_closed": closed,
     }
-    if cfg.fmt == "json":
-        _emit(json.dumps(doc, indent=2, allow_nan=False) + "\n", cfg.out)
+    if args.fmt == "json":
+        _emit(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
     else:
         lines = [f"q = {q}", f"det_sym = {sym}", f"det_closed = {closed}"]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_riemann(cfg: RunConfig) -> int:
-    alpha = _parse_alpha(cfg)
-    if not cfg.k:
+def cmd_riemann(args: argparse.Namespace) -> int:
+    alpha = _parse_alpha(args)
+    if not args.k:
         raise ValueError("need --k with at least one refinement")
-    rows = riemann_diagnostic(alpha, cfg.k, i0=cfg.i0)
-    if cfg.fmt == "json":
+    rows = riemann_diagnostic(alpha, args.k, i0=args.i0)
+    if args.fmt == "json":
         doc = [
             {
                 "graph": r.graph,
@@ -348,7 +307,7 @@ def cmd_riemann(cfg: RunConfig) -> int:
             }
             for r in rows
         ]
-        _emit(json.dumps(doc, indent=2, allow_nan=False) + "\n", cfg.out)
+        _emit(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
         return 0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -356,16 +315,16 @@ def cmd_riemann(cfg: RunConfig) -> int:
     for r in rows:
         writer.writerow([r.graph, r.k, format_rational(r.lattice),
                          format_rational(r.exact), repr(r.rel_error)])
-    _emit(buf.getvalue(), cfg.out)
+    _emit(buf.getvalue(), args.out)
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     report = run_validation()
-    if cfg.fmt == "json":
-        _emit(json.dumps(report.to_dict(), indent=2) + "\n", cfg.out)
+    if args.fmt == "json":
+        _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     else:
-        _emit(report.render() + "\n", cfg.out)
+        _emit(report.render() + "\n", args.out)
     return 0 if report.ok else 3
 
 
@@ -384,9 +343,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig.from_args(args)
     try:
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[args.subcommand](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ import math
 import re
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -42,6 +42,15 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as 'p/q', or 'p' when the denominator is 1."""
     return str(q)
+
+
+def common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over one denominator: xs[i] == nums[i] / den.
+
+    den is the positive lcm of the denominators (1 for no input).
+    """
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 _IDS = itertools.count()
@@ -116,10 +125,11 @@ class MultiPoly:
     @staticmethod
     def affine(constant: Fraction | int, linear: Mapping[int, Fraction | int]) -> MultiPoly:
         """Build constant + sum of coeff * var."""
-        p = MultiPoly.const(constant)
-        for vid, c in linear.items():
-            p = p + Fraction(c) * MultiPoly.variable(vid)
-        return p
+        vs = tuple(linear)
+        terms = {(0,) * len(vs): constant}
+        for i, vid in enumerate(vs):
+            terms[tuple(int(j == i) for j in range(len(vs)))] = linear[vid]
+        return MultiPoly(vs, terms)
 
     @staticmethod
     def coerce(x: PolyLike) -> MultiPoly:
@@ -139,9 +149,6 @@ class MultiPoly:
         if self.vars:
             raise ValueError("polynomial is not constant")
         return self.terms.get((), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -240,10 +247,9 @@ class MultiPoly:
 
         Every variable of self must have an image; a missing one is an
         error rather than an identity substitution.  The expansion runs on
-        integer numerators: each image is num_i / den_i, a term
-        c * prod img_i^k_i is c.numerator * prod num_i^k_i over
-        c.denominator * prod den_i^k_i, and all terms are summed over the
-        lcm of those denominators.
+        integer numerators: each image is num_i / den_i, so a term
+        c * prod img_i^k_i is (c / prod den_i^k_i) * prod num_i^k_i, and
+        the weights c / prod den_i^k_i are brought to one denominator.
         """
         imgs: list[MultiPoly] = []
         for vid in self.vars:
@@ -255,20 +261,21 @@ class MultiPoly:
         nums: list[dict[tuple[int, ...], int]] = []
         dens: list[int] = []
         for img in imgs:
-            den = math.lcm(*(c.denominator for c in img.terms.values()))
-            nums.append({e: c.numerator * (den // c.denominator) for e, c in _rekey(img, vs).items()})
+            terms = _rekey(img, vs)
+            num, den = common_denominator(list(terms.values()))
+            nums.append(dict(zip(terms, num)))
             dens.append(den)
-        term_dens = []
+        weights = []
         for e, c in self.terms.items():
             d = c.denominator
             for den, k in zip(dens, e):
                 d *= den**k
-            term_dens.append(d)
-        common = math.lcm(*term_dens)
+            weights.append(Fraction(c.numerator, d))
+        scaled, common = common_denominator(weights)
         powers: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
         out: dict[tuple[int, ...], int] = {}
-        for (e, c), d in zip(self.terms.items(), term_dens):
-            m = {one: c.numerator * (common // d)}
+        for e, w in zip(self.terms, scaled):
+            m = {one: w}
             for i, k in enumerate(e):
                 if not k:
                     continue
@@ -308,7 +315,7 @@ class MultiPoly:
 def _normalize(
     vars: tuple[int, ...], terms: dict[tuple[int, ...], Fraction]
 ) -> tuple[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
-    terms = {e: Fraction(c) for e, c in terms.items() if c != 0}
+    terms = {e: c if isinstance(c, Fraction) else Fraction(c) for e, c in terms.items() if c}
     if not terms:
         return (), {}
     if any(len(e) != len(vars) for e in terms):

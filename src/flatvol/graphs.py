@@ -92,9 +92,6 @@ class OuterVertex:
         """2g - 2 + n + e, the stability weight and the block level constant."""
         return 2 * self.genus - 2 + len(self.legs) + self.edges
 
-    def sort_key(self):
-        return (self.genus, self.edges, tuple(label_key(l) for l in self.legs))
-
 
 @dataclass(frozen=True)
 class StarGraph:
@@ -169,14 +166,12 @@ class StarGraph:
         head = f"{self.genus0}[{legs(self.legs0)}]"
         if not self.outer:
             return head
+        levels = domain_of(self, weights).levels if weights is not None else None
         bits = []
-        for ov in self.outer:
+        for j, ov in enumerate(self.outer):
             s = f"({ov.genus},{ov.edges})[{legs(ov.legs)}]"
-            if weights is not None:
-                c = Fraction(ov.euler) - sum(
-                    (Fraction(weights[l]) for l in ov.legs), Fraction(0)
-                )
-                s += f" c={c}"
+            if levels is not None:
+                s += f" c={levels[j]}"
             else:
                 s += f" c={ov.euler}" + "".join(f"-a({label_str(l)})" for l in ov.legs)
             bits.append(s)

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from .exact import MultiPoly, compose_affine, fresh_var, var_name
+from .exact import MultiPoly, common_denominator, compose_affine, var_name
 
 DIM_BOUND = 8
 
@@ -130,53 +130,48 @@ def parametrize(dom: CascadePolytope) -> ParamSystem:
 # -- exact linear algebra -------------------------------------------------
 
 
-def solve_square(rows: Sequence[Sequence[int]], rhs: Sequence[int]):
-    """Solve a square integer system by fraction-free (Bareiss) elimination.
+def _bareiss(rows: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Returns (numerators, denominator) with x_i = numerators[i] / denominator
-    and denominator > 0, or None when the system is singular.  Every
-    division is exact, since after step k each entry is, up to sign, a
-    k x k minor of the augmented matrix.
+    Pivots are taken in the first ncols columns, skipping columns with no
+    nonzero entry left; later columns (a right-hand side) are carried
+    along.  Returns (rank, last pivot).  Every division is exact, since
+    each entry stays, up to sign, a minor of the input; for a square
+    matrix of full rank the last pivot is +-det.
     """
-    n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pivot_row = a[col]
-        p = pivot_row[col]
-        for r in range(n):
-            if r != col:
-                f = a[r][col]
-                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], pivot_row)]
-        prev = p
-    if prev < 0:
-        return [-a[i][n] for i in range(n)], -prev
-    return [a[i][n] for i in range(n)], prev
-
-
-def matrix_rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    a = [list(r) for r in rows]
-    rank = 0
-    cols = len(a[0]) if a else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+    rank, prev = 0, 1
+    for col in range(ncols):
+        if rank == len(rows):
+            break
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = Fraction(1) / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot_row = rows[rank]
+        p = pivot_row[col]
+        for r in range(len(rows)):
+            if r != rank:
+                f = rows[r][col]
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(rows[r], pivot_row)]
+        prev = p
         rank += 1
-        if rank == len(a):
-            break
-    return rank
+    return rank, prev
+
+
+def solve_square(rows: Sequence[Sequence[int]], rhs: Sequence[int]):
+    """Solve a square integer system by fraction-free elimination.
+
+    Returns (numerators, denominator) with x_i = numerators[i] / denominator
+    and denominator > 0, or None when the system is singular.
+    """
+    n = len(rows)
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    rank, det = _bareiss(a, n)
+    if rank < n:
+        return None
+    if det < 0:
+        return [-r[n] for r in a], -det
+    return [r[n] for r in a], det
 
 
 def affine_dim(points: Sequence[Point]) -> int:
@@ -184,31 +179,8 @@ def affine_dim(points: Sequence[Point]) -> int:
     if not points:
         return -1
     p0 = points[0]
-    rows = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    return matrix_rank(rows)
-
-
-def det_square(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    a = [list(r) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    rows = [common_denominator([x - y for x, y in zip(p, p0)])[0] for p in points[1:]]
+    return _bareiss(rows, len(p0))[0]
 
 
 # -- vertex enumeration ----------------------------------------------------
@@ -229,7 +201,11 @@ class VRepPolytope:
     full_dim: bool
 
 
-def _ineq_rows(exprs: Sequence[MultiPoly], free: Sequence[int]) -> list[tuple[Fraction, list[Fraction]]]:
+def _ineq_rows(exprs: Sequence[MultiPoly], free: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """Rows (b, a) of b + a.x >= 0, each scaled to integers by its positive lcm.
+
+    A positive scale keeps every sign, so feasibility and tightness hold.
+    """
     pos = {v: i for i, v in enumerate(free)}
     rows = []
     for e in exprs:
@@ -246,7 +222,8 @@ def _ineq_rows(exprs: Sequence[MultiPoly], free: Sequence[int]) -> list[tuple[Fr
                 if vid not in pos:
                     raise ValueError(f"inequality uses non-free variable {var_name(vid)}")
                 a[pos[vid]] = c
-        rows.append((b, a))
+        nums, _ = common_denominator([b] + a)
+        rows.append((nums[0], nums[1:]))
     return rows
 
 
@@ -265,12 +242,7 @@ def enumerate_vertices(
         raise ValueError(
             f"dimension {d} exceeds bound {dim_bound}; decompose the domain first"
         )
-    rows = []
-    for b, a in _ineq_rows(exprs, free):
-        # a positive scale keeps every sign, so feasibility and tightness hold
-        scale = math.lcm(b.denominator, *(c.denominator for c in a))
-        rows.append((b.numerator * (scale // b.denominator),
-                     [c.numerator * (scale // c.denominator) for c in a]))
+    rows = _ineq_rows(exprs, free)
     found: dict[Point, set[int]] = {}
     for combo in itertools.combinations(range(len(rows)), d):
         sol = solve_square([rows[i][1] for i in combo], [-rows[i][0] for i in combo])
@@ -335,45 +307,39 @@ def triangulate(
     return [tuple(verts[i] for i in s) for s in simplices]
 
 
-_T_VARS: list[int] = []
-
-
-def _t_var(k: int) -> int:
-    while len(_T_VARS) <= k:
-        _T_VARS.append(fresh_var())
-    return _T_VARS[k]
-
-
 def integrate_over_simplex(p: MultiPoly, simplex: Sequence[Point], free: Sequence[int]) -> Fraction:
     """Exact integral of p over a d-simplex in the free coordinates.
 
     Pulls back through the affine chart x = v0 + M t and applies the
-    Dirichlet monomial formula on the standard simplex.
+    Dirichlet monomial formula on the standard simplex.  Substitution is
+    simultaneous, so the free variables serve as the chart coordinates t.
     """
     d = len(free)
     if len(simplex) != d + 1:
         raise ValueError("simplex needs d+1 vertices")
     v0 = simplex[0]
     cols = [[v[i] - v0[i] for i in range(d)] for v in simplex[1:]]
-    det = det_square([[cols[j][i] for j in range(d)] for i in range(d)])
-    if det == 0:
+    # det M = det of the integer-scaled columns / prod of their scales
+    scaled = [common_denominator(col) for col in cols]
+    rank, pivot = _bareiss([nums for nums, _ in scaled], d)
+    if rank < d:
         return Fraction(0)
-    images = {}
-    for i, vid in enumerate(free):
-        images[vid] = MultiPoly.affine(
-            v0[i], {_t_var(j): cols[j][i] for j in range(d)}
-        )
+    det_den = math.prod(den for _, den in scaled)
+    images = {
+        vid: MultiPoly.affine(v0[i], {free[j]: cols[j][i] for j in range(d)})
+        for i, vid in enumerate(free)
+    }
     q = compose_affine(p, images)
     # sum c * prod m_i! / (|m| + d)! over the common denominator den * (D + d)!
-    den = math.lcm(*(c.denominator for c in q.terms.values()))
+    nums, den = common_denominator(list(q.terms.values()))
     top = math.factorial(q.total_degree() + d)
     acc = 0
-    for exps, c in q.terms.items():
-        w = c.numerator * (den // c.denominator) * (top // math.factorial(sum(exps) + d))
+    for exps, c in zip(q.terms, nums):
+        w = c * (top // math.factorial(sum(exps) + d))
         for m in exps:
             w *= math.factorial(m)
         acc += w
-    return abs(det) * Fraction(acc, den * top)
+    return Fraction(abs(pivot) * acc, det_den * den * top)
 
 
 def integrate(p: MultiPoly, dom: CascadePolytope, apex_rule: str = "lex_min") -> Fraction:

@@ -67,6 +67,23 @@ def test_simplex_measure_and_moment():
     assert integrate(MultiPoly.one(), dom) == Fraction(1, 2)
     assert integrate(MultiPoly.variable(vs[0]), dom) == Fraction(1, 6)
 
+    # the triangle (0,0), (0,2/5), (1/3,0) listed with negative orientation
+    x, y = fresh_var("mx"), fresh_var("my")
+    z = Fraction(0)
+    tri = [(z, z), (z, Fraction(2, 5)), (Fraction(1, 3), z)]
+    assert integrate_over_simplex(MultiPoly.one(), tri, (x, y)) == Fraction(1, 15)
+    assert integrate_over_simplex(MultiPoly.variable(x), tri, (x, y)) == Fraction(1, 135)
+
+    # a 3-simplex whose edge columns have denominators 2, 3 and 5 * 7
+    free = tuple(fresh_var(f"m3{i}") for i in range(3))
+    v0 = (Fraction(1, 7), Fraction(-1), Fraction(2))
+    cols = [(Fraction(1, 2), Fraction(1), z), (z, Fraction(-1, 3), Fraction(2)),
+            (Fraction(1, 5), Fraction(3), Fraction(-3, 7))]
+    simplex = [v0] + [tuple(a + b for a, b in zip(v0, col)) for col in cols]
+    (a, b, c), (d, e, f), (g, h, i) = cols
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    assert integrate_over_simplex(MultiPoly.one(), simplex, free) == abs(det) / 6
+
 
 def test_scaled_level_closed_forms():
     c = Fraction(5, 7)
@@ -175,6 +192,13 @@ def test_vertex_enumeration_square():
         assert vrep.full_dim
         got = {v: {order[i] for i in t} for v, t in zip(vrep.vertices, vrep.tight)}
         assert got == tight
+
+    # the segment x = 0, 0 <= y <= 1: feasible but not full-dimensional
+    seg = [px, MultiPoly.zero() - px, py, MultiPoly.one() - py]
+    vrep = enumerate_vertices(seg, free, 8)
+    assert vrep.full_dim is False
+    assert set(vrep.vertices) == {(z, z), (z, o)}
+    assert triangulate(vrep, seg, free) == []
 
 
 def test_vertex_enumeration_dim_bound():
