@@ -243,8 +243,20 @@ def enumerate_vertices(
             f"dimension {d} exceeds bound {dim_bound}; decompose the domain first"
         )
     rows = _ineq_rows(exprs, free)
+    # a basis holding two parallel rows (such as x >= 0 and c - x >= 0) or a
+    # zero row is singular, so a basis takes one row from each of d distinct
+    # classes of parallel rows
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for i, (_, a) in enumerate(rows):
+        g = math.gcd(*a)
+        if g:
+            g = g if next(x for x in a if x) > 0 else -g
+            classes.setdefault(tuple(x // g for x in a), []).append(i)
     found: dict[Point, set[int]] = {}
-    for combo in itertools.combinations(range(len(rows)), d):
+    bases = itertools.chain.from_iterable(
+        itertools.product(*group) for group in itertools.combinations(classes.values(), d)
+    )
+    for combo in bases:
         sol = solve_square([rows[i][1] for i in combo], [-rows[i][0] for i in combo])
         if sol is None:
             continue

@@ -13,12 +13,14 @@ convention v is independent of i0 and symmetric in the entries; the
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .exact import MultiPoly, fresh_var
+from .exact import MultiPoly, common_denominator, fresh_var
 from .graphs import (
     WeightVector,
     domain_of,
@@ -135,8 +137,17 @@ def scan(
     sampled at t = t_min + i*(t_max - t_min)/(steps+1), i = 1..steps.
     Rows hitting a wall (integer entry) carry flag "wall" and no volhat;
     rows leaving the positive cone carry flag "invalid" and no value.
+
     Under the default convention v is symmetric in the entries, so rows
-    with the same entry multiset share one evaluation.
+    with the same entry multiset share one evaluation, and v is a
+    polynomial of degree at most D = 4g - 3 + n in t between the walls
+    sum_{i in S} alpha_i(t) in Z.  Those walls cut the rows into
+    chambers.  A chamber of at least D + 2 rows is evaluated at D + 1
+    spread rows, and every other row gets the exact value of the
+    interpolating polynomial through them.  One more evaluated row checks
+    it; if the check disagrees, the chamber is evaluated row by row.
+    Rows on a wall, shorter chambers, lines lying inside a wall and every
+    row under another convention are evaluated directly.
     """
     if base is None or direction is None:
         if n != 2:
@@ -162,23 +173,51 @@ def scan(
             raise ValueError("explicit slices need t_min and t_max")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    t_min, t_max = Fraction(t_min), Fraction(t_max)
+    ts = [t_min + (t_max - t_min) * Fraction(i, steps + 1) for i in range(1, steps + 1)]
+    alphas = [tuple(b + t * d for b, d in zip(base, direction)) for t in ts]
+    valid = [all(e > 0 for e in entries) for entries in alphas]
     memo: dict[tuple[Fraction, ...], Fraction] = {}
+
+    def value_at(i: int) -> Fraction:
+        alpha = WeightVector(genus, alphas[i])
+        if convention != DEFAULT_CONVENTION:
+            return evaluate(alpha, i0, convention).value
+        key = tuple(sorted(alpha.entries))
+        if key not in memo:
+            memo[key] = evaluate(alpha, i0, convention).value
+        return memo[key]
+
+    values: list[Fraction | None] = [None] * steps
+    walls = _walls(base, direction, t_min, t_max) if convention == DEFAULT_CONVENTION else None
+    if walls is not None:
+        degree = 4 * genus - 3 + n
+        chambers: dict[int, list[int]] = {}
+        for i, t in enumerate(ts):
+            k = bisect.bisect_left(walls, t)
+            if valid[i] and (k == len(walls) or walls[k] != t):
+                chambers.setdefault(k, []).append(i)
+        for idx in chambers.values():
+            if len(idx) < degree + 2:
+                continue
+            # D + 2 picks at floor(k * L / (D + 1)) from either end, so a
+            # mirrored chamber picks mirrored rows and the memo shares them;
+            # the middle pick is the check row
+            L, E = len(idx) - 1, degree + 1
+            picks = [idx[k * L // E] if 2 * k <= E else idx[L - (E - k) * L // E] for k in range(E + 1)]
+            check = picks.pop(E // 2)
+            poly = _interpolant(picks, [value_at(i) for i in picks])
+            if poly(check) == value_at(check):
+                for i in idx:
+                    values[i] = poly(i)
+
     rows: list[ScanRow] = []
-    span = Fraction(t_max) - Fraction(t_min)
-    for i in range(1, steps + 1):
-        t = Fraction(t_min) + span * Fraction(i, steps + 1)
-        entries = tuple(b + t * d for b, d in zip(base, direction))
-        if any(e <= 0 for e in entries):
+    for i, (t, entries) in enumerate(zip(ts, alphas)):
+        if not valid[i]:
             rows.append(ScanRow(t, entries, None, None, "invalid"))
             continue
         alpha = WeightVector(genus, entries)
-        if convention == DEFAULT_CONVENTION:
-            key = tuple(sorted(alpha.entries))
-            if key not in memo:
-                memo[key] = evaluate(alpha, i0, convention).value
-            value = memo[key]
-        else:
-            value = evaluate(alpha, i0, convention).value
+        value = values[i] if values[i] is not None else value_at(i)
         if has_integer_entry(alpha):
             rows.append(ScanRow(t, entries, value, None, "wall"))
         else:
@@ -186,6 +225,54 @@ def scan(
                 ScanRow(t, entries, value, volume_normalization(alpha) * float(value), "")
             )
     return rows
+
+
+def _walls(
+    base: Sequence[Fraction], direction: Sequence[Fraction], t_min: Fraction, t_max: Fraction
+) -> list[Fraction] | None:
+    """Sorted t in [t_min, t_max] (either order) where a subset sum of alpha(t) is an integer.
+
+    The entries sum to an integer, so a subset and its complement share
+    their walls and only subsets without the last entry are visited.  A
+    subset sum that does not move and is an integer puts the whole line
+    on a wall; that case returns None.
+    """
+    lo, hi = sorted((t_min, t_max))
+    walls: set[Fraction] = set()
+    for S in itertools.chain.from_iterable(
+        itertools.combinations(range(len(base) - 1), size) for size in range(1, len(base))
+    ):
+        b = sum(base[i] for i in S)
+        d = sum(direction[i] for i in S)
+        if d == 0:
+            if b.denominator == 1:
+                return None
+            continue
+        s_lo, s_hi = sorted((b + d * lo, b + d * hi))
+        walls.update((k - b) / d for k in range(math.ceil(s_lo), math.floor(s_hi) + 1))
+    return sorted(walls)
+
+
+def _interpolant(xs: Sequence[int], ys: Sequence[Fraction]) -> Callable[[int], Fraction]:
+    """The polynomial through (xs[j], ys[j]) at integer xs, in Newton form.
+
+    The Newton coefficients share one denominator, so each value costs one
+    integer Horner pass and one Fraction.
+    """
+    c = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    nums, den = common_denominator(c)
+    steps = tuple(zip(reversed(xs[:-1]), reversed(nums[:-1])))
+
+    def poly(x: int) -> Fraction:
+        acc = nums[-1]
+        for xj, cj in steps:
+            acc = acc * (x - xj) + cj
+        return Fraction(acc, den)
+
+    return poly
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatvol import polytopes
 from flatvol.exact import MultiPoly, fresh_var
 from flatvol.polytopes import (
     Block,
@@ -14,6 +15,7 @@ from flatvol.polytopes import (
     integrate_over_simplex,
     lattice_sum,
     parametrize,
+    solve_square,
     triangulate,
 )
 
@@ -199,6 +201,26 @@ def test_vertex_enumeration_square():
     assert vrep.full_dim is False
     assert set(vrep.vertices) == {(z, z), (z, o)}
     assert triangulate(vrep, seg, free) == []
+
+
+def test_vertex_enumeration_skips_parallel_bases(monkeypatch):
+    # the unit square has C(4, 2) = 6 bases; (x, 1 - x) and (y, 1 - y) are
+    # parallel pairs, so only the other 4 reach the elimination
+    solved = []
+
+    def counting(rows, rhs):
+        solved.append(tuple(map(tuple, rows)))
+        return solve_square(rows, rhs)
+
+    monkeypatch.setattr(polytopes, "solve_square", counting)
+    x, y = fresh_var("px"), fresh_var("py")
+    px, py = MultiPoly.variable(x), MultiPoly.variable(y)
+    vrep = enumerate_vertices([px, py, MultiPoly.one() - px, MultiPoly.one() - py], (x, y), 8)
+    assert len(solved) == 4
+    assert all(solve_square(rows, (0, 0)) is not None for rows in solved)
+    z, o = Fraction(0), Fraction(1)
+    assert set(vrep.vertices) == {(z, z), (z, o), (o, z), (o, o)}
+    assert vrep.tight == (frozenset({0, 1}), frozenset({0, 3}), frozenset({1, 2}), frozenset({2, 3}))
 
 
 def test_vertex_enumeration_dim_bound():

@@ -1,10 +1,14 @@
 """Tests for the flat recursion, volume conversion, scans, and diagnostics."""
 
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flatvol import exact, kernels, recursion
 from flatvol.graphs import WeightVector
@@ -288,6 +292,179 @@ def test_scan_sign_pattern_genus1():
     for r in rows:
         assert r.flag in ("", "wall")
         assert -r.value >= 0
+
+
+def _line(genus, base, direction, t):
+    return WeightVector(genus, tuple(Fraction(b) + t * Fraction(d) for b, d in zip(base, direction)))
+
+
+def _wall_free(base, direction, t0, t1):
+    """No subset sum of alpha(t) is an integer for t in [t0, t1]."""
+    n = len(base)
+    for size in range(1, n):
+        for S in itertools.combinations(range(n), size):
+            a, b = (sum(Fraction(base[i]) + t * Fraction(direction[i]) for i in S) for t in (t0, t1))
+            if a.denominator == 1 or b.denominator == 1 or a // 1 != b // 1:
+                return False
+    return True
+
+
+def _difference(values, order):
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
+DEGREE_SEGMENTS = [  # genus, base, direction, t0, step
+    (1, (0, 2), (1, -1), Fraction(1, 7), Fraction(1, 11)),
+    (1, (Fraction(2, 5), Fraction(3, 7), Fraction(76, 35)),
+     (Fraction(1, 29), Fraction(-1, 31), Fraction(-2, 899)), 0, 1),
+    (2, (0, 4), (1, -1), Fraction(1, 9), Fraction(1, 13)),
+    (0, (Fraction(1, 5), Fraction(1, 3), Fraction(2, 7), Fraction(124, 105)),
+     (Fraction(1, 40), Fraction(-1, 50), Fraction(1, 60), Fraction(-13, 600)), 0, 1),
+]
+
+
+@pytest.mark.parametrize("genus, base, direction, t0, step", DEGREE_SEGMENTS)
+def test_exact_degree_on_wall_free_segments(genus, base, direction, t0, step):
+    # scan interpolates with degree D = 4g - 3 + n: on a segment crossing no
+    # wall the (D+1)-th exact difference vanishes and the D-th does not
+    degree = 4 * genus - 3 + len(base)
+    ts = [t0 + j * step for j in range(degree + 2)]
+    assert _wall_free(base, direction, ts[0], ts[-1])
+    values = [evaluate(_line(genus, base, direction, t)).value for t in ts]
+    assert _difference(values, degree + 1) == [0]
+    assert 0 not in _difference(values, degree)
+    if genus == 0 and len(base) == 4:
+        oracle = [genus0_n4_oracle(_line(genus, base, direction, t)) for t in ts]
+        assert oracle == values
+        assert _difference(oracle, degree + 1) == [0] and 0 not in _difference(oracle, degree)
+
+
+@st.composite
+def _wall_free_segments(draw):
+    genus, n = draw(st.sampled_from([(0, 4), (0, 5), (1, 2), (1, 3)]))
+    total = 2 * genus - 2 + n
+    ks = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    base = [Fraction(total * k, sum(ks)) for k in ks]
+    direction = [Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4))) for _ in range(n - 1)]
+    direction.append(-sum(direction))
+    # walk to 1/(D + 2) of the way to the first subset sum that meets an integer
+    reach = None
+    for size in range(1, n):
+        for S in itertools.combinations(range(n), size):
+            s = sum(base[i] for i in S)
+            d = sum(direction[i] for i in S)
+            assume(s.denominator != 1)
+            if d:
+                gap = (math.floor(s) + 1 - s) / d if d > 0 else (s - math.floor(s)) / -d
+                reach = gap if reach is None else min(reach, gap)
+    assume(reach is not None)
+    degree = 4 * genus - 3 + n
+    return genus, base, direction, reach / (degree + 2)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(_wall_free_segments())
+def test_degree_bound_on_drawn_segments(segment):
+    genus, base, direction, step = segment
+    degree = 4 * genus - 3 + len(base)
+    ts = [j * step for j in range(degree + 2)]
+    assert _wall_free(base, direction, ts[0], ts[-1])
+    values = [evaluate(_line(genus, base, direction, t)).value for t in ts]
+    assert _difference(values, degree + 1) == [0]
+
+
+def _counting_evaluate(monkeypatch, calls, perturb=None):
+    def counting(alpha, *args, **kwargs):
+        key = tuple(sorted(alpha.entries))
+        calls.append(key)
+        fv = evaluate(alpha, *args, **kwargs)
+        return dataclasses.replace(fv, value=fv.value + 1) if key == perturb else fv
+
+    monkeypatch.setattr(recursion, "evaluate", counting)
+
+
+# genus 1, n = 3 at t = (i - 6)/18: a1 + a2 = 1 (with a3 = 2) at t = 4/9 and
+# walls at t = 1, 10/9, 4/3; t <= 0 and t >= 16/9 leave the positive cone
+G1N3_SLICE = dict(genus=1, n=3, steps=40, base=(0, Fraction(1, 3), Fraction(8, 3)),
+                  direction=(1, Fraction(1, 2), Fraction(-3, 2)),
+                  t_min=Fraction(-1, 3), t_max=Fraction(35, 18))
+# genus 0, n = 5 at t = -1 + i/20: the pair sum a1 + a2 = 1/2 + t meets 1 at
+# t = 1/2 and a3 + a4 at t = 9/10 with no entry integral; a1 = a2 = 1 at 3/2
+G0N5_SLICE = dict(genus=0, n=5, steps=80,
+                  base=(Fraction(1, 4), Fraction(1, 4), Fraction(4, 5), Fraction(4, 5), Fraction(9, 10)),
+                  direction=(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 3), Fraction(-1, 3)),
+                  t_min=Fraction(-1), t_max=Fraction(61, 20))
+
+
+@pytest.mark.parametrize("slice_, pair_wall", [(G1N3_SLICE, Fraction(4, 9)), (G0N5_SLICE, Fraction(1, 2))])
+def test_scan_interpolation_matches_direct(monkeypatch, slice_, pair_wall):
+    calls = []
+    _counting_evaluate(monkeypatch, calls)
+    rows = scan(**slice_)
+    flags = {r.flag for r in rows}
+    assert flags == {"", "wall", "invalid"}
+    # group the rows into chambers independently: rows on a wall stand
+    # alone, and neighbours share a chamber when no wall lies between them
+    base, direction = slice_["base"], slice_["direction"]
+    on_wall, chambers, prev = 0, [], None
+    for r in rows:
+        if r.flag == "invalid" or not _wall_free(base, direction, r.t, r.t):
+            on_wall += r.flag != "invalid"
+            prev = None
+            continue
+        if prev is None or not _wall_free(base, direction, prev.t, r.t):
+            chambers.append(0)
+        chambers[-1] += 1
+        prev = r
+    degree = 4 * slice_["genus"] - 3 + slice_["n"]
+    assert len(calls) <= on_wall + sum(min(m, degree + 2) for m in chambers) < on_wall + sum(chambers)
+    on_wall = next(r for r in rows if r.t == pair_wall)
+    assert tuple(sorted(on_wall.alpha)) in calls  # evaluated directly
+    for r in rows:
+        if r.flag == "invalid":
+            assert r.value is None
+            continue
+        w = WeightVector(slice_["genus"], r.alpha)
+        assert r.value == evaluate(w).value, r.t
+        assert r.flag == ("wall" if has_integer_entry(w) else "")
+        assert r.volhat == (None if r.flag else volume_normalization(w) * float(r.value))
+
+
+def test_scan_default_genus2_evaluations(monkeypatch):
+    # walls t = 1, 2, 3 cut the 600 rows into 4 chambers of 150, and each
+    # chamber needs at most D + 2 = 9 evaluations
+    calls = []
+    _counting_evaluate(monkeypatch, calls)
+    rows = scan(2, steps=600)
+    assert len(calls) <= 4 * (4 * 2 - 3 + 2 + 2)
+    for r in rows[::37]:
+        assert r.value == evaluate(WeightVector(2, r.alpha)).value
+
+
+def test_scan_check_failure_falls_back(monkeypatch):
+    # the chamber 4/9 < t < 1 of the genus-1, n = 3 slice has 9 rows and is
+    # interpolated from D + 2 = 6 evaluations; a wrong value at any of them
+    # fails the check, and then every row of the chamber is evaluated
+    reference = scan(**G1N3_SLICE)
+    chamber = [k for k, r in enumerate(reference) if Fraction(4, 9) < r.t < 1]
+    keys = {k: tuple(sorted(reference[k].alpha)) for k in chamber}
+    calls = []
+    _counting_evaluate(monkeypatch, calls)
+    scan(**G1N3_SLICE)
+    evaluated = [key for key in calls if key in keys.values()]
+    assert len(evaluated) == 6 < len(chamber)
+    for target in evaluated:
+        calls.clear()
+        _counting_evaluate(monkeypatch, calls, perturb=target)
+        rows = scan(**G1N3_SLICE)
+        for k, (r, ref) in enumerate(zip(rows, reference)):
+            if k in keys:
+                assert keys[k] in calls
+                assert r.value == ref.value + (keys[k] == target)
+            else:
+                assert r == ref
 
 
 def test_riemann_diagnostic_converges():
