@@ -357,8 +357,6 @@ def twist_multiplicity(twist: tuple[tuple[Fraction, ...], ...]) -> Fraction:
 
 I0_POLICIES = ("smallest_marking", "largest_marking", "edge_first")
 
-WeightValue = Union[Fraction, int]  # Fraction fixed weight, int formal var id
-
 
 @dataclass(frozen=True)
 class StarTree:
@@ -377,32 +375,19 @@ class StarTree:
 def _child_i0(
     legs: tuple[Label, ...],
     new_edges: tuple[Label, ...],
-    wmap: Mapping[Label, WeightValue],
+    wmap: Mapping[Label, MultiPoly],
     policy: str,
 ) -> Label:
-    fixed = [l for l in legs if isinstance(wmap[l], Fraction)]
-    if policy == "smallest_marking":
-        if fixed:
-            return min(fixed, key=label_key)
+    fixed = [l for l in legs if wmap[l].is_constant()]
+    if not fixed or policy == "edge_first":
         return new_edges[0]
-    if policy == "largest_marking":
-        if fixed:
-            return max(fixed, key=label_key)
-        return new_edges[0]
-    if policy == "edge_first":
-        return new_edges[0]
-    raise ValueError(f"unknown i0 policy {policy!r}")
-
-
-def _slot_poly(value: WeightValue) -> MultiPoly:
-    if isinstance(value, Fraction):
-        return MultiPoly.const(value)
-    return MultiPoly.variable(value)
+    pick = min if policy == "smallest_marking" else max
+    return pick(fixed, key=label_key)
 
 
 def _expand_graph(
     graph: StarGraph,
-    wmap: dict[Label, WeightValue],
+    wmap: dict[Label, MultiPoly],
     convention: ConventionFlags,
     policy: str,
 ) -> list[StarTree]:
@@ -410,35 +395,28 @@ def _expand_graph(
     edge_vars: list[tuple[int, ...]] = []
     for ov in graph.outer:
         edge_vars.append(tuple(fresh_var() for _ in range(ov.edges)))
+    all_edges = tuple(v for vars_j in edge_vars for v in vars_j)
 
     # kernel slots: central legs then all edges, negated
-    slot_labels = list(graph.legs0)
-    slots: list[MultiPoly] = [_slot_poly(wmap[l]) for l in graph.legs0]
-    for vars_j in edge_vars:
-        for vid in vars_j:
-            slots.append(-MultiPoly.variable(vid))
-    kern = kernel_A(graph.genus0, slots, slot_labels.index(graph.i0), convention)
+    slots = [wmap[l] for l in graph.legs0] + [-MultiPoly.variable(v) for v in all_edges]
+    kern = kernel_A(graph.genus0, slots, graph.legs0.index(graph.i0), convention)
 
-    factor = kern.body
+    # vertex factor: kernel body times prod b / |Aut|, then the sign or prefactor
+    factor = kern.body * MultiPoly(
+        all_edges, {(1,) * len(all_edges): Fraction(1, graph.aut_order)}
+    )
     if convention.term_sign == "printed":
         if graph.ell % 2:
             factor = -factor
     else:
-        factor = factor * ((-_slot_poly(wmap[graph.i0])) ** graph.j0)
-    weight = Fraction(1, graph.sym_factor)
-    for ov in graph.outer:
-        weight /= math.factorial(ov.edges)
-    factor = factor * weight
-    for vars_j in edge_vars:
-        for vid in vars_j:
-            factor = factor * MultiPoly.variable(vid)
+        factor = factor * ((-wmap[graph.i0]) ** graph.j0)
 
     # per-vertex blocks; prune structurally empty domains
     blocks: list[Block] = []
     for ov, vars_j in zip(graph.outer, edge_vars):
         level = MultiPoly.const(ov.euler)
         for l in ov.legs:
-            level = level - _slot_poly(wmap[l])
+            level = level - wmap[l]
         if level.is_constant() and level.constant_value() <= 0:
             return []
         blocks.append(Block(vars_j, level))
@@ -447,10 +425,10 @@ def _expand_graph(
     child_lists: list[list[StarTree]] = []
     for ov, vars_j in zip(graph.outer, edge_vars):
         edge_labels = tuple(("e", vid) for vid in vars_j)
-        child_wmap: dict[Label, WeightValue] = {l: wmap[l] for l in ov.legs}
+        child_wmap = {l: wmap[l] for l in ov.legs}
         for lab, vid in zip(edge_labels, vars_j):
-            child_wmap[lab] = vid
-        child_markings = tuple(sorted(child_wmap, key=label_key))
+            child_wmap[lab] = MultiPoly.variable(vid)
+        child_markings = tuple(child_wmap)
         ci0 = _child_i0(child_markings, edge_labels, child_wmap, policy)
         subtrees: list[StarTree] = []
         for sub in enumerate_star_graphs(ov.genus, child_markings, ci0):
@@ -499,7 +477,7 @@ def flatten(
     """
     if i0_policy not in I0_POLICIES:
         raise ValueError(f"unknown i0 policy {i0_policy!r}")
-    wmap: dict[Label, WeightValue] = dict(alpha.weight_map())
+    wmap = {l: MultiPoly.const(w) for l, w in alpha.weight_map().items()}
     if graph.genus != alpha.genus or set(graph.markings) != set(alpha.labels()):
         raise ValueError("graph does not match the weight vector")
     trees = _expand_graph(graph, wmap, convention, i0_policy)

@@ -115,17 +115,9 @@ class KernelPolynomial:
         return self.body.constant_value()
 
 
-_CANON_SLOT_VARS: list[int] = []
-
-
-def _canon_slot_var(k: int) -> int:
-    while len(_CANON_SLOT_VARS) <= k:
-        _CANON_SLOT_VARS.append(fresh_var())
-    return _CANON_SLOT_VARS[k]
-
-
-# Bodies over the canonical slot variables, one per vertex shape.
-_KERNEL_CACHE: dict[tuple[int, int, int, int], MultiPoly] = {}
+# One entry per vertex shape: the canonical slot variable ids and the body
+# expanded over them.
+_KERNEL_CACHE: dict[tuple[int, int, int, int], tuple[tuple[int, ...], MultiPoly]] = {}
 
 
 def _series_for_slot(order: int, w: MultiPoly) -> TruncatedSeries:
@@ -174,12 +166,13 @@ def kernel_A(
     # The body is a polynomial in the slot values: expand it once per shape
     # over canonical slot variables, then substitute this call's slots.
     key = (genus, len(coerced), i0, exponent)
-    body = _KERNEL_CACHE.get(key)
-    if body is None:
-        canon = tuple(MultiPoly.variable(_canon_slot_var(k)) for k in range(len(coerced)))
-        body = _kernel_body(genus, canon, i0, exponent)
-        _KERNEL_CACHE[key] = body
-    body = body.substitute({_canon_slot_var(k): w for k, w in enumerate(coerced)})
+    entry = _KERNEL_CACHE.get(key)
+    if entry is None:
+        canon = tuple(fresh_var() for _ in coerced)
+        body = _kernel_body(genus, tuple(MultiPoly.variable(v) for v in canon), i0, exponent)
+        entry = _KERNEL_CACHE[key] = (canon, body)
+    canon, body = entry
+    body = body.substitute(dict(zip(canon, coerced)))
     return KernelPolynomial(genus, coerced, i0, convention, exponent, body)
 
 

@@ -96,9 +96,8 @@ class ParamSystem:
     """
 
     free: tuple[int, ...]
-    var_order: tuple[int, ...]
     subst: dict[int, MultiPoly]
-    exprs: tuple[MultiPoly, ...]  # aligned with var_order
+    exprs: tuple[MultiPoly, ...]  # one per original variable, block by block
 
 
 def parametrize(dom: CascadePolytope) -> ParamSystem:
@@ -109,7 +108,6 @@ def parametrize(dom: CascadePolytope) -> ParamSystem:
         raise ValueError(f"cascade is parametric in {names}; cannot integrate")
     free: list[int] = []
     subst: dict[int, MultiPoly] = {}
-    var_order: list[int] = []
     exprs: list[MultiPoly] = []
     for blk in dom.blocks:
         level = blk.level.substitute({v: subst[v] for v in blk.level.vars})
@@ -122,9 +120,8 @@ def parametrize(dom: CascadePolytope) -> ParamSystem:
             tail_expr = tail_expr - MultiPoly.variable(v)
         subst[blk.vars[-1]] = tail_expr
         for v in blk.vars:
-            var_order.append(v)
             exprs.append(subst[v])
-    return ParamSystem(tuple(free), tuple(var_order), subst, tuple(exprs))
+    return ParamSystem(tuple(free), subst, tuple(exprs))
 
 
 # -- exact linear algebra -------------------------------------------------

@@ -306,10 +306,8 @@ def riemann_diagnostic(
         blocks = tuple(
             Block(vs, MultiPoly.const(c)) for vs, c in zip(bvars, info.levels)
         )
-        mono = MultiPoly.one()
-        for vs in bvars:
-            for v in vs:
-                mono = mono * MultiPoly.variable(v)
+        edges = tuple(v for vs in bvars for v in vs)
+        mono = MultiPoly(edges, {(1,) * len(edges): Fraction(1)})
         exact = integrate(mono, CascadePolytope(blocks))
         for k in ks:
             for c in info.levels:

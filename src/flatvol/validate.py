@@ -23,21 +23,6 @@ from .kernels import (
 )
 from .recursion import evaluate, genus0_n4_oracle
 
-CHECK_NAMES = (
-    "base_case",
-    "genus0_oracle",
-    "kernel_wall_zero",
-    "i0_independence",
-    "relabel_invariance",
-    "integer_vanishing",
-    "wall_quadratic",
-    "wall_linear",
-    "small_angle_decay",
-    "policy_independence",
-    "det_factor_forms",
-    "aab_residuals",
-)
-
 
 @dataclass(frozen=True)
 class CheckRow:
@@ -311,6 +296,7 @@ _CHECK_FUNCS = {
     "det_factor_forms": _check_det_factor_forms,
     "aab_residuals": _check_aab_residuals,
 }
+CHECK_NAMES = tuple(_CHECK_FUNCS)
 
 
 def run_validation() -> ValidationReport:

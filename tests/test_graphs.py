@@ -16,6 +16,7 @@ from flatvol.graphs import (
     flatten,
     twist_multiplicity,
 )
+from flatvol.recursion import evaluate
 
 
 def test_weight_vector_validation():
@@ -232,3 +233,56 @@ def test_flatten_depth_two_has_closed_root_domain():
             for blk in t.domain.blocks:
                 # twist variables are engine ids, allocated without a stored name
                 assert all(var_name(v) == f"x{v}" for v in blk.vars)
+
+
+def test_i0_policy_picks_child_root():
+    # the value is policy independent, so pin the child root each policy
+    # picks: the smallest fixed leg, the largest, or the first new edge
+    w = WeightVector(1, (Fraction(5, 4), Fraction(5, 4), Fraction(1, 2)))
+    expected = {
+        "smallest_marking": [
+            "0[1,2,3]((1,1)1[e1])",
+            "0[1,2]((0,2)0[3,e1,e2])",
+            "0[1,2]((1,1)0[3,e1]((1,1)1[e1]))",
+            "0[1,2]((1,1)0[3]((0,2)0[e1,e2,e3]))",
+            "0[1,2]((1,1)1[3,e1])",
+            "0[1,3]((1,1)0[2,e1]((1,1)1[e1]))",
+            "0[1,3]((1,1)0[2]((0,2)0[e1,e2,e3]))",
+            "0[1,3]((1,1)1[2,e1])",
+            "0[1]((0,2)0[2,3,e1,e2])",
+            "0[1]((0,2)0[2,3]((0,1)0[e1,e2,e3]))",
+            "0[1]((0,2)0[2,e1]((0,1)0[3,e1,e2]))",
+            "0[1]((0,2)0[2,e1]((0,1)0[3,e1,e2]))",
+            "1[1,2,3]",
+        ],
+        "largest_marking": [
+            "0[1,2,3]((1,1)1[e1])",
+            "0[1,2]((0,2)0[3,e1,e2])",
+            "0[1,2]((1,1)0[3,e1]((1,1)1[e1]))",
+            "0[1,2]((1,1)0[3]((0,2)0[e1,e2,e3]))",
+            "0[1,2]((1,1)1[3,e1])",
+            "0[1,3]((1,1)0[2,e1]((1,1)1[e1]))",
+            "0[1,3]((1,1)0[2]((0,2)0[e1,e2,e3]))",
+            "0[1,3]((1,1)1[2,e1])",
+            "0[1]((0,2)0[2,3,e1,e2])",
+            "0[1]((0,2)0[2,3]((0,1)0[e1,e2,e3]))",
+            "0[1]((0,2)0[3,e1]((0,1)0[2,e1,e2]))",
+            "0[1]((0,2)0[3,e1]((0,1)0[2,e1,e2]))",
+            "1[1,2,3]",
+        ],
+        "edge_first": [
+            "0[1,2,3]((1,1)1[e1])",
+            "0[1,2]((0,2)0[3,e1,e2])",
+            "0[1,2]((1,1)0[3,e1]((1,1)1[e1]))",
+            "0[1,2]((1,1)0[e1]((0,2)0[3,e1,e2]))",
+            "0[1,2]((1,1)1[3,e1])",
+            "0[1,3]((1,1)0[2,e1]((1,1)1[e1]))",
+            "0[1,3]((1,1)1[2,e1])",
+            "0[1]((0,2)0[2,3,e1,e2])",
+            "0[1]((0,2)0[2,e1]((0,1)0[3,e1,e2]))",
+            "0[1]((0,2)0[3,e1]((0,1)0[2,e1,e2]))",
+            "1[1,2,3]",
+        ],
+    }
+    for policy, idents in expected.items():
+        assert [ident for ident, _ in evaluate(w, i0_policy=policy).terms] == idents
