@@ -92,9 +92,10 @@ class MultiPoly:
         _normalized: bool = False,
     ) -> None:
         vt = tuple(vars)
-        tm = dict(terms) if terms else {}
-        if not _normalized:
-            vt, tm = _normalize(vt, tm)
+        if _normalized:  # kept, not copied: no instance mutates its terms
+            tm = terms if terms is not None else {}
+        else:
+            vt, tm = _normalize(vt, terms or {})
         object.__setattr__(self, "vars", vt)
         object.__setattr__(self, "terms", tm)
 
@@ -197,8 +198,16 @@ class MultiPoly:
             return MultiPoly(
                 self.vars, {e: k * c for e, k in self.terms.items()}, _normalized=True
             )
+        # a constant factor only scales, keeping the other factor's term order
+        if not other.vars:
+            return self * other.constant_value()
+        if not self.vars:
+            return other * self.constant_value()
+        # _align gives sorted distinct vars, and over Q a product of nonzero
+        # polynomials keeps every variable, so only a zero product renormalizes
         vs, sa, sb = _align(self, other)
-        return MultiPoly(vs, _mul_terms(sa, sb))
+        out = _mul_terms(sa, sb)
+        return MultiPoly(vs if out else (), out, _normalized=True)
 
     __rmul__ = __mul__
 
@@ -313,7 +322,7 @@ class MultiPoly:
 
 
 def _normalize(
-    vars: tuple[int, ...], terms: dict[tuple[int, ...], Fraction]
+    vars: tuple[int, ...], terms: Mapping[tuple[int, ...], Fraction]
 ) -> tuple[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
     terms = {e: c if isinstance(c, Fraction) else Fraction(c) for e, c in terms.items() if c}
     if not terms:

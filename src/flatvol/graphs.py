@@ -15,7 +15,9 @@ which equals the reciprocal automorphism count 1/|Aut|.
 Flattening expands every outer vertex through its own star graphs down
 to kernel leaves, producing one StarTree per combination: an integrand
 polynomial in the edge variables and a cascade of twist blocks, with
-block level 2g_j - 2 + n_j + e_j - sum of leg weights.
+block level 2g_j - 2 + n_j + e_j - sum of leg weights.  Within one
+flatten call each vertex type is expanded once; a later vertex of the
+same type gets that expansion with its variables renamed.
 """
 
 from __future__ import annotations
@@ -358,7 +360,7 @@ def twist_multiplicity(twist: tuple[tuple[Fraction, ...], ...]) -> Fraction:
 I0_POLICIES = ("smallest_marking", "largest_marking", "edge_first")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarTree:
     """One flattened term: a star graph with fully expanded outer vertices.
 
@@ -385,17 +387,69 @@ def _child_i0(
     return pick(fixed, key=label_key)
 
 
+# A vertex type is (genus, fixed marking labels, number of inherited edge
+# legs, number of new edges); a label fixes its weight within one flatten
+# call.  Its memo entry holds the ids the expansion was built on, slots
+# first and then internal edges, with the trees.
+VertexType = tuple[int, tuple[int, ...], int, int]
+Template = tuple[tuple[int, ...], list[StarTree]]
+
+
+def _renamed(template: Template, slots: tuple[int, ...]) -> list[StarTree]:
+    """The template's trees on new slot ids and fresh internal edge ids.
+
+    Slot ids ascend and every fresh id exceeds them, as in the template,
+    so the renaming keeps the order of ids and each polynomial keeps its
+    terms dict.
+    """
+    tids, trees = template
+    fresh = [fresh_var() for _ in range(len(tids) - len(slots))]
+    ids = dict(zip(tids, slots + tuple(fresh)))
+
+    def poly(p: MultiPoly) -> MultiPoly:
+        if not p.vars:
+            return p
+        return MultiPoly(tuple(ids[v] for v in p.vars), p.terms, _normalized=True)
+
+    blocks: dict[int, Block] = {}  # trees share blocks; rename each once
+    out = []
+    for t in trees:
+        dom = []
+        for blk in t.domain.blocks:
+            new = blocks.get(id(blk))
+            if new is None:
+                new = blocks[id(blk)] = Block(tuple(ids[v] for v in blk.vars), poly(blk.level))
+            dom.append(new)
+        out.append(StarTree(poly(t.integrand), CascadePolytope(tuple(dom)), t.ident))
+    return out
+
+
 def _expand_graph(
     graph: StarGraph,
     wmap: dict[Label, MultiPoly],
     convention: ConventionFlags,
     policy: str,
+    memo: dict[VertexType, Template],
 ) -> list[StarTree]:
     # fresh twist variables, grouped per outer vertex
     edge_vars: list[tuple[int, ...]] = []
     for ov in graph.outer:
         edge_vars.append(tuple(fresh_var() for _ in range(ov.edges)))
     all_edges = tuple(v for vars_j in edge_vars for v in vars_j)
+
+    # per-vertex blocks, level 2g-2+n+e minus the leg weights; prune
+    # structurally empty domains before expanding the kernel.  Legs sort
+    # fixed markings first, then inherited edges by id.
+    blocks: list[Block] = []
+    leg_ids: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for ov, vars_j in zip(graph.outer, edge_vars):
+        fixed = tuple(l for l in ov.legs if isinstance(l, int))
+        inherited = tuple(l[1] for l in ov.legs if not isinstance(l, int))
+        c = ov.euler - sum(wmap[l].constant_value() for l in fixed)
+        if not inherited and c <= 0:
+            return []
+        blocks.append(Block(vars_j, MultiPoly.affine(c, dict.fromkeys(inherited, -1))))
+        leg_ids.append((fixed, inherited))
 
     # kernel slots: central legs then all edges, negated
     slots = [wmap[l] for l in graph.legs0] + [-MultiPoly.variable(v) for v in all_edges]
@@ -411,28 +465,26 @@ def _expand_graph(
     else:
         factor = factor * ((-wmap[graph.i0]) ** graph.j0)
 
-    # per-vertex blocks; prune structurally empty domains
-    blocks: list[Block] = []
-    for ov, vars_j in zip(graph.outer, edge_vars):
-        level = MultiPoly.const(ov.euler)
-        for l in ov.legs:
-            level = level - wmap[l]
-        if level.is_constant() and level.constant_value() <= 0:
-            return []
-        blocks.append(Block(vars_j, level))
-
-    # expand children
+    # expand children, each vertex type once; its slot ids ascend
     child_lists: list[list[StarTree]] = []
-    for ov, vars_j in zip(graph.outer, edge_vars):
-        edge_labels = tuple(("e", vid) for vid in vars_j)
-        child_wmap = {l: wmap[l] for l in ov.legs}
-        for lab, vid in zip(edge_labels, vars_j):
-            child_wmap[lab] = MultiPoly.variable(vid)
-        child_markings = tuple(child_wmap)
-        ci0 = _child_i0(child_markings, edge_labels, child_wmap, policy)
-        subtrees: list[StarTree] = []
-        for sub in enumerate_star_graphs(ov.genus, child_markings, ci0):
-            subtrees.extend(_expand_graph(sub, child_wmap, convention, policy))
+    for ov, vars_j, (fixed, inherited) in zip(graph.outer, edge_vars, leg_ids):
+        key = (ov.genus, fixed, len(inherited), ov.edges)
+        slot_ids = inherited + vars_j
+        template = memo.get(key)
+        if template is not None:
+            subtrees = _renamed(template, slot_ids)
+        else:
+            edge_labels = tuple(("e", vid) for vid in vars_j)
+            child_wmap = {l: wmap[l] for l in ov.legs}
+            for lab, vid in zip(edge_labels, vars_j):
+                child_wmap[lab] = MultiPoly.variable(vid)
+            child_markings = tuple(child_wmap)
+            ci0 = _child_i0(child_markings, edge_labels, child_wmap, policy)
+            subtrees = []
+            for sub in enumerate_star_graphs(ov.genus, child_markings, ci0):
+                subtrees.extend(_expand_graph(sub, child_wmap, convention, policy, memo))
+            inner = sorted({v for t in subtrees for blk in t.domain.blocks for v in blk.vars})
+            memo[key] = (slot_ids + tuple(inner), subtrees)
         if not subtrees:
             return []
         child_lists.append(subtrees)
@@ -480,7 +532,7 @@ def flatten(
     wmap = {l: MultiPoly.const(w) for l, w in alpha.weight_map().items()}
     if graph.genus != alpha.genus or set(graph.markings) != set(alpha.labels()):
         raise ValueError("graph does not match the weight vector")
-    trees = _expand_graph(graph, wmap, convention, i0_policy)
+    trees = _expand_graph(graph, wmap, convention, i0_policy, {})
     for t in trees:
         # root domains must be closed; only subtree domains may be parametric
         if t.domain.external_vars:

@@ -29,7 +29,7 @@ DIM_BOUND = 8
 Point = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """Positive variables summing to an affine level."""
 
@@ -45,7 +45,7 @@ class Block:
             raise ValueError("block level must be affine")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CascadePolytope:
     """Blocks in dependency order; levels only use earlier blocks' variables.
 
@@ -100,27 +100,54 @@ class ParamSystem:
     exprs: tuple[MultiPoly, ...]  # one per original variable, block by block
 
 
+# An affine map: free variable (None for the constant) -> nonzero coefficient.
+Affine = dict[int | None, Fraction]
+
+
+def _affine_poly(lin: Affine) -> MultiPoly:
+    """The polynomial of an affine map, its terms in the map's order."""
+    vs = tuple(sorted(v for v in lin if v is not None))
+    unit = {v: tuple(int(w == v) for w in vs) for v in vs}
+    unit[None] = (0,) * len(vs)
+    return MultiPoly(vs, {unit[v]: c for v, c in lin.items()}, _normalized=True)
+
+
 def parametrize(dom: CascadePolytope) -> ParamSystem:
-    """Eliminate the last variable of every block."""
+    """Eliminate the last variable of every block.
+
+    Each level is composed with the affine maps of the earlier blocks
+    directly, term by term, so every expression comes out with the terms
+    in the order a substitution would give them.
+    """
     ext = dom.external_vars
     if ext:
         names = ", ".join(var_name(v) for v in ext)
         raise ValueError(f"cascade is parametric in {names}; cannot integrate")
     free: list[int] = []
+    maps: dict[int, Affine] = {}
     subst: dict[int, MultiPoly] = {}
     exprs: list[MultiPoly] = []
     for blk in dom.blocks:
-        level = blk.level.substitute({v: subst[v] for v in blk.level.vars})
-        head = blk.vars[:-1]
-        for v in head:
+        tail: Affine = {}
+        level = blk.level
+        for exps, c in level.terms.items():
+            if 1 not in exps:
+                tail[None] = tail[None] + c if None in tail else c
+            elif c == -1:  # the usual edge term; negating skips a gcd
+                for v, a in maps[level.vars[exps.index(1)]].items():
+                    tail[v] = tail[v] - a if v in tail else -a
+            else:
+                for v, a in maps[level.vars[exps.index(1)]].items():
+                    tail[v] = tail[v] + c * a if v in tail else c * a
+        tail = {v: c for v, c in tail.items() if c}
+        for v in blk.vars[:-1]:
             free.append(v)
+            maps[v] = {v: Fraction(1)}
             subst[v] = MultiPoly.variable(v)
-        tail_expr = level
-        for v in head:
-            tail_expr = tail_expr - MultiPoly.variable(v)
-        subst[blk.vars[-1]] = tail_expr
-        for v in blk.vars:
-            exprs.append(subst[v])
+            tail[v] = Fraction(-1)
+        maps[blk.vars[-1]] = tail
+        subst[blk.vars[-1]] = _affine_poly(tail)
+        exprs.extend(subst[v] for v in blk.vars)
     return ParamSystem(tuple(free), subst, tuple(exprs))
 
 

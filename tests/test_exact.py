@@ -102,6 +102,25 @@ def test_multipoly_ring_axioms():
             assert (p - q).evaluate(a) == p.evaluate(a) - q.evaluate(a)
 
 
+def test_multipoly_product_normal_form():
+    # products skip renormalization, so cancellation and zero factors must
+    # still give the normal form a direct construction has
+    x, y = fresh_var("nx"), fresh_var("ny")
+    px, py = MultiPoly.variable(x), MultiPoly.variable(y)
+    prod = (px + 1) * (px - 1)
+    assert prod == MultiPoly((x,), {(2,): Fraction(1), (0,): Fraction(-1)})
+    assert prod.vars == (x,)
+    assert all(type(c) is Fraction for c in prod.terms.values())
+    # the y-terms cancel in the product, x and y both stay
+    prod = (px + py) * (px - py)
+    assert prod == MultiPoly((x, y), {(2, 0): Fraction(1), (0, 2): Fraction(-1)})
+    assert prod.vars == (x, y)
+    for zero in (MultiPoly.zero() * (px + py), (px * py) * MultiPoly.zero()):
+        assert zero == MultiPoly((x, y), {})
+        assert zero.vars == () and zero.terms == {}
+        assert zero.is_zero() and zero.is_constant()
+
+
 def test_multipoly_pow():
     x = fresh_var("x")
     p = MultiPoly.variable(x) + MultiPoly.one()

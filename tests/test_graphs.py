@@ -1,12 +1,16 @@
 """Tests for star graph enumeration, twist domains, and tree flattening."""
 
+import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from flatvol import graphs
 from flatvol.exact import var_name
 from flatvol.graphs import (
+    I0_POLICIES,
     OuterVertex,
     StarGraph,
     WeightVector,
@@ -16,6 +20,7 @@ from flatvol.graphs import (
     flatten,
     twist_multiplicity,
 )
+from flatvol.kernels import ALL_CONVENTIONS, kernel_A
 from flatvol.recursion import evaluate
 
 
@@ -286,3 +291,85 @@ def test_i0_policy_picks_child_root():
     }
     for policy, idents in expected.items():
         assert [ident for ident, _ in evaluate(w, i0_policy=policy).terms] == idents
+
+
+def _weights(genus, text):
+    return WeightVector(genus, tuple(Fraction(x) for x in text.split(",")))
+
+
+def _depth(ident):
+    """Nesting depth of a tree ident: 1 for a lone root node."""
+    depth = top = 0
+    for ch in re.sub(r"\(\d+,\d+\)", "", ident):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        top = max(top, depth)
+    return top + 1
+
+
+def test_flatten_expands_each_vertex_type_once(monkeypatch):
+    # one expansion per child vertex type and root graph, and no kernel for
+    # a graph its levels prune: expanding every occurrence anew, each kernel
+    # before the pruning test, makes 215 kernel calls here
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return kernel_A(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "kernel_A", counting)
+    w = _weights(0, "1/2,2/3,5/6,4/5,7/10,1/2")
+    trees = [t for gph in enumerate_star_graphs(0, w.labels(), 1) for t in flatten(gph, w)]
+    assert len(trees) == 71
+    assert len(calls) == 109
+
+
+# sha256 prefixes of the "ident=value" list of evaluate(...).terms, per
+# point and convention, in I0_POLICIES order, recorded from a flattening
+# that expands every occurrence of a vertex type anew; each point repeats
+# a weight on two markings other than i0, so a subtree reused under the
+# wrong labels shows
+TERM_DIGESTS = {
+    (1, "1/2,5/4,5/4"): {
+        "printed:printed": ("c74f4b4449f188d1", "c74f4b4449f188d1", "a70475ea1c145b84"),
+        "printed:prefactor": ("a86b7011cf068344", "a86b7011cf068344", "9d01ea747d8933d2"),
+        "shifted:printed": ("23c0f3c203602786", "23c0f3c203602786", "dd2f122c94a835da"),
+        "shifted:prefactor": ("9e0af4d5154232b4", "9e0af4d5154232b4", "6fec1b7299a937b7"),
+    },
+    (0, "1/2,2/3,2/3,4/5,7/10,2/3"): {
+        "printed:printed": ("f71e75a69b7069cc", "e1af4da0847565bc", "c2acf55028da7ec5"),
+        "printed:prefactor": ("4e3e1eb534324969", "53e12610f452cef9", "4c2382330dfd224f"),
+        "shifted:printed": ("f71e75a69b7069cc", "e1af4da0847565bc", "c2acf55028da7ec5"),
+        "shifted:prefactor": ("4e3e1eb534324969", "53e12610f452cef9", "4c2382330dfd224f"),
+    },
+    (2, "1/3,11/3"): {
+        "printed:printed": ("10cf78d4fee59707", "10cf78d4fee59707", "10cf78d4fee59707"),
+        "printed:prefactor": ("c857623b3b380885", "c857623b3b380885", "c857623b3b380885"),
+        "shifted:printed": ("aa5b601ac99985de", "aa5b601ac99985de", "aa5b601ac99985de"),
+        "shifted:prefactor": ("6e56d500adf8cc3d", "6e56d500adf8cc3d", "6e56d500adf8cc3d"),
+    },
+}
+
+
+@pytest.mark.parametrize("genus, entries", list(TERM_DIGESTS))
+def test_terms_pinned_under_all_conventions_and_policies(genus, entries):
+    w = _weights(genus, entries)
+    for conv in ALL_CONVENTIONS:
+        got = []
+        for policy in I0_POLICIES:
+            terms = evaluate(w, convention=conv, i0_policy=policy).terms
+            text = ";".join(f"{ident}={value}" for ident, value in terms)
+            got.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+        assert tuple(got) == TERM_DIGESTS[genus, entries][conv.key()], conv.key()
+
+
+def test_reused_subtrees_stay_inside_their_domain():
+    # a renamed subtree must carry this occurrence's edge ids: every
+    # integrand variable is a twist variable of the tree's own cascade
+    w = _weights(0, "1/2,2/3,5/6,4/5,7/10,1/2")
+    for policy in I0_POLICIES:
+        depths = []
+        for gph in enumerate_star_graphs(0, w.labels(), 1):
+            for t in flatten(gph, w, i0_policy=policy):
+                assert set(t.integrand.vars) <= set(t.domain.variables), t.ident
+                depths.append(_depth(t.ident))
+        assert max(depths) >= 3, policy

@@ -119,6 +119,65 @@ def test_dirichlet_monomials():
         assert got == want / denom
 
 
+def _substitution_parametrize(dom):
+    """Reference: each level through MultiPoly.substitute, tails by subtraction."""
+    free, subst, exprs = [], {}, []
+    for blk in dom.blocks:
+        tail = blk.level.substitute({v: subst[v] for v in blk.level.vars})
+        for v in blk.vars[:-1]:
+            free.append(v)
+            subst[v] = MultiPoly.variable(v)
+            tail = tail - MultiPoly.variable(v)
+        subst[blk.vars[-1]] = tail
+        exprs.extend(subst[v] for v in blk.vars)
+    return tuple(free), subst, tuple(exprs)
+
+
+def _assert_same_system(dom):
+    ps = parametrize(dom)
+    free, subst, exprs = _substitution_parametrize(dom)
+    assert ps.free == free
+    assert ps.subst == subst
+    assert ps.exprs == exprs
+    # the term order feeds the float lattice sums, so it must match too
+    for got, want in zip(ps.exprs, exprs):
+        assert list(got.terms.items()) == list(want.terms.items())
+    return ps
+
+
+def test_parametrize_matches_substitution():
+    a, b, c, d, e, f, h = (fresh_var(f"pz{i}") for i in range(7))
+    pa, pb, pd, pe = (MultiPoly.variable(v) for v in (a, b, d, e))
+    third = MultiPoly.const(2) - pe * Fraction(3, 7) + pb * Fraction(2, 7) - pd * Fraction(1, 5)
+    dom = CascadePolytope((
+        Block((a, b), MultiPoly.const(Fraction(5, 2))),
+        # heads out of id order, level written variable first
+        Block((d, c, e), pa * Fraction(-2, 3) + Fraction(3, 4)),
+        # uses blocks 1 and 2; the coefficient of a cancels to zero
+        Block((f, h), third),
+    ))
+    ps = _assert_same_system(dom)
+    assert ps.free == (a, d, c, f)
+    want = MultiPoly.affine(
+        Fraction(67, 28), {c: Fraction(3, 7), d: Fraction(8, 35), f: Fraction(-1)}
+    )
+    assert ps.subst[h] == want
+
+    # every block a singleton: no free coordinates, constant expressions,
+    # one of them zero
+    p, q, r = fresh_var("pzp"), fresh_var("pzq"), fresh_var("pzr")
+    pp, pq = MultiPoly.variable(p), MultiPoly.variable(q)
+    dom = CascadePolytope((
+        Block((p,), MultiPoly.const(Fraction(3, 2))),
+        Block((q,), MultiPoly.one() - pp * Fraction(1, 3)),
+        Block((r,), pp - pq * 3),
+    ))
+    ps = _assert_same_system(dom)
+    assert ps.free == ()
+    assert [x.constant_value() for x in ps.exprs] == [Fraction(3, 2), Fraction(1, 2), 0]
+    assert ps.exprs[2].vars == () and ps.exprs[2].terms == {}
+
+
 def test_two_block_cascade():
     x, y = fresh_var("ka"), fresh_var("kb")
     z = fresh_var("kc")
