@@ -27,7 +27,7 @@ print("  ", [str(c) for c in series_S(6).coeffs])
 a1, a2 = fresh_var("d4a1"), fresh_var("d4a2")
 p1, p2 = MultiPoly.variable(a1), MultiPoly.variable(a2)
 for conv in (ConventionFlags("shifted", "prefactor"), ConventionFlags("printed", "printed")):
-    body = kernel_A(1, (p1, p2), 0, conv).body
+    body = kernel_A(1, (p1, p2), 0, conv)
     print(f"kernel g=1 ({conv.s_exponent} exponent): {body!r}")
 
 # power-locus coefficients, solved from a triangular series identity

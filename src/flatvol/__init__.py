@@ -32,7 +32,6 @@ from .kernels import (
     PRINTED_CONVENTION,
     AabTable,
     ConventionFlags,
-    KernelPolynomial,
     aab_table,
     det_factor_forms,
     kernel_A,
@@ -64,7 +63,6 @@ __all__ = [
     "DEFAULT_CONVENTION",
     "DomainInfo",
     "FlatValue",
-    "KernelPolynomial",
     "MultiPoly",
     "OuterVertex",
     "PRINTED_CONVENTION",

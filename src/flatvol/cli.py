@@ -65,15 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="weights as p/q,p/q,...")
         sp.add_argument("--i0", type=int, default=1, help="distinguished marking (1-based)")
 
-    sp = sub.add_parser("eval", help="evaluate v at one weight vector")
-    add_point(sp)
-    add_convention(sp)
-    add_common(sp, ("json", "text"), "json")
-
-    sp = sub.add_parser("volhat", help="evaluate the normalized volume at one weight vector")
-    add_point(sp)
-    add_convention(sp)
-    add_common(sp, ("json", "text"), "json")
+    for name, text in (
+        ("eval", "evaluate v at one weight vector"),
+        ("volhat", "evaluate the normalized volume at one weight vector"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        add_point(sp)
+        add_convention(sp)
+        add_common(sp, ("json", "text"), "json")
 
     sp = sub.add_parser("scan", help="sample v along a line in weight space")
     sp.add_argument("--g", type=int, required=True)
@@ -166,21 +165,13 @@ def _render_value(doc: dict, fmt: str) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    """eval and volhat; volhat refuses a wall point, where volhat is undefined."""
     alpha = _parse_alpha(args)
-    fv = evaluate(alpha, i0=args.i0, convention=ConventionFlags(args.s_exponent, args.term_sign))
-    vh = None
-    if not has_integer_entry(alpha):
-        vh = volume_normalization(alpha) * float(fv.value)
-    _emit(_render_value(_value_doc(fv, vh), args.fmt), args.out)
-    return 0
-
-
-def cmd_volhat(args: argparse.Namespace) -> int:
-    alpha = _parse_alpha(args)
-    if has_integer_entry(alpha):
+    wall = has_integer_entry(alpha)
+    if wall and args.subcommand == "volhat":
         raise ValueError("wall point: some entry is a positive integer, volhat undefined")
     fv = evaluate(alpha, i0=args.i0, convention=ConventionFlags(args.s_exponent, args.term_sign))
-    vh = volume_normalization(alpha) * float(fv.value)
+    vh = None if wall else volume_normalization(alpha) * float(fv.value)
     _emit(_render_value(_value_doc(fv, vh), args.fmt), args.out)
     return 0
 
@@ -330,7 +321,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 _HANDLERS = {
     "eval": cmd_eval,
-    "volhat": cmd_volhat,
+    "volhat": cmd_eval,
     "scan": cmd_scan,
     "graphs": cmd_graphs,
     "aab": cmd_aab,

@@ -5,8 +5,8 @@ Everything downstream of this module is exact.  Rationals are
 Polynomials are sparse maps from exponent tuples to nonzero rational
 coefficients; the tuple positions refer to an ordered list of integer
 variable ids carried by each polynomial.  Truncated power series in one
-formal variable z keep a fixed order N and never consult coefficients
-beyond it; the coefficient ring is either Fraction or MultiPoly.
+formal variable z have Fraction coefficients, keep a fixed order N and
+never consult coefficients beyond it.
 """
 
 from __future__ import annotations
@@ -410,34 +410,18 @@ def compose_affine(p: MultiPoly, images: Mapping[int, PolyLike]) -> MultiPoly:
     return p.substitute(images)
 
 
-Coeff = Union[Fraction, MultiPoly]
-
-
-def _zero_like(c: Coeff) -> Coeff:
-    return MultiPoly.zero() if isinstance(c, MultiPoly) else Fraction(0)
-
-
-def _one_like(c: Coeff) -> Coeff:
-    return MultiPoly.one() if isinstance(c, MultiPoly) else Fraction(1)
-
-
-def _is_zero_coeff(c: Coeff) -> bool:
-    return c.is_zero() if isinstance(c, MultiPoly) else c == 0
-
-
 class TruncatedSeries:
     """Power series in one variable, truncated at a fixed order N.
 
     coeffs[k] is the z^k coefficient for 0 <= k <= N.  Binary operations
     require equal orders; nothing beyond order N is ever consulted, so a
     computation that fixes N = 2*g up front stays exact for every
-    coefficient it reports.  Coefficients may be Fractions or MultiPolys
-    (one ring per series).
+    coefficient it reports.  Coefficients are Fractions.
     """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Sequence[Coeff], order: int | None = None) -> None:
+    def __init__(self, coeffs: Sequence[Fraction], order: int | None = None) -> None:
         cs = list(coeffs)
         if order is None:
             order = len(cs) - 1
@@ -452,11 +436,10 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     @staticmethod
-    def constant(value: Coeff, order: int) -> TruncatedSeries:
-        z = _zero_like(value)
-        return TruncatedSeries([value] + [z] * order, order)
+    def constant(value: Fraction, order: int) -> TruncatedSeries:
+        return TruncatedSeries([value] + [Fraction(0)] * order, order)
 
-    def coefficient(self, k: int) -> Coeff:
+    def coefficient(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
             raise ValueError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
@@ -465,36 +448,24 @@ class TruncatedSeries:
         if self.order != other.order:
             raise ValueError("series orders differ")
 
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check(other)
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check(other)
-        return TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check(other)
         n = self.order
-        zero = _zero_like(self.coeffs[0])
-        out: list[Coeff] = [zero] * (n + 1)
+        out = [Fraction(0)] * (n + 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero_coeff(a):
+            if not a:
                 continue
             for j in range(0, n - i + 1):
                 b = other.coeffs[j]
-                if _is_zero_coeff(b):
+                if not b:
                     continue
                 out[i + j] = out[i + j] + a * b
         return TruncatedSeries(out, n)
 
-    def scale(self, c: Fraction | int | MultiPoly) -> TruncatedSeries:
-        return TruncatedSeries([a * c for a in self.coeffs], self.order)
-
     def pow(self, n: int) -> TruncatedSeries:
         if n < 0:
             raise ValueError("negative series power, invert first")
-        result = TruncatedSeries.constant(_one_like(self.coeffs[0]), self.order)
+        result = TruncatedSeries.constant(Fraction(1), self.order)
         base = self
         while n:
             if n & 1:
@@ -504,44 +475,19 @@ class TruncatedSeries:
                 base = base * base
         return result
 
-    def exp(self) -> TruncatedSeries:
-        """exp of a series with zero constant term.
-
-        Uses m*e_m = sum_{k=1..m} k * s_k * e_{m-k}.
-        """
-        if not _is_zero_coeff(self.coeffs[0]):
-            raise ValueError("series exp needs zero constant term")
-        n = self.order
-        one = _one_like(self.coeffs[0] if n == 0 else self.coeffs[min(1, n)])
-        out: list[Coeff] = [one]
-        for m in range(1, n + 1):
-            acc = _zero_like(one)
-            for k in range(1, m + 1):
-                sk = self.coeffs[k]
-                if _is_zero_coeff(sk):
-                    continue
-                acc = acc + (sk * out[m - k]) * Fraction(k)
-            out.append(acc * Fraction(1, m))
-        return TruncatedSeries(out, n)
-
     def inverse(self) -> TruncatedSeries:
-        """Multiplicative inverse; the constant term must be a unit."""
+        """Multiplicative inverse; the constant term must be nonzero."""
         c0 = self.coeffs[0]
-        if isinstance(c0, MultiPoly):
-            if not c0.is_constant() or c0.constant_value() == 0:
-                raise ValueError("series inverse needs an invertible constant term")
-            inv0 = Fraction(1) / c0.constant_value()
-        else:
-            if c0 == 0:
-                raise ValueError("series inverse needs an invertible constant term")
-            inv0 = Fraction(1) / c0
+        if not c0:
+            raise ValueError("series inverse needs an invertible constant term")
+        inv0 = Fraction(1) / c0
         n = self.order
-        out: list[Coeff] = [_one_like(c0) * inv0]
+        out = [inv0]
         for m in range(1, n + 1):
-            acc = _zero_like(c0)
+            acc = Fraction(0)
             for k in range(1, m + 1):
                 ak = self.coeffs[k]
-                if _is_zero_coeff(ak):
+                if not ak:
                     continue
                 acc = acc + ak * out[m - k]
             out.append(acc * (-inv0))
@@ -550,13 +496,6 @@ class TruncatedSeries:
     def z_derivative_times_z(self) -> TruncatedSeries:
         """z * d/dz, exact on a truncated series (degree is preserved)."""
         return TruncatedSeries([c * Fraction(k) for k, c in enumerate(self.coeffs)], self.order)
-
-    def lift(self) -> TruncatedSeries:
-        """Coerce Fraction coefficients to constant MultiPolys."""
-        return TruncatedSeries(
-            [c if isinstance(c, MultiPoly) else MultiPoly.const(c) for c in self.coeffs],
-            self.order,
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -455,8 +455,8 @@ def _expand_graph(
     slots = [wmap[l] for l in graph.legs0] + [-MultiPoly.variable(v) for v in all_edges]
     kern = kernel_A(graph.genus0, slots, graph.legs0.index(graph.i0), convention)
 
-    # vertex factor: kernel body times prod b / |Aut|, then the sign or prefactor
-    factor = kern.body * MultiPoly(
+    # vertex factor: kernel polynomial times prod b / |Aut|, then the sign or prefactor
+    factor = kern * MultiPoly(
         all_edges, {(1,) * len(all_edges): Fraction(1, graph.aut_order)}
     )
     if convention.term_sign == "printed":

@@ -7,7 +7,15 @@ w_1..w_n and a distinguished slot i0 contributes
     A = [z^{2g}]  exp(w_{i0} * z S'(z)/S(z)) * prod_{j != i0} S(w_j z) / S(z)^E
 
 where the exponent E and the sign bookkeeping of the surrounding sum are
-configurable (ConventionFlags).  Slots may be fixed rationals or
+configurable (ConventionFlags).  Every factor is the exponential of an
+even series: with log S(z) = sum_k lambda_k z^{2k} we have
+z S'/S = sum_k 2k lambda_k z^{2k}, so lambda_k = [z^{2k}] (z S'/S) / (2k)
+(lambda_1 = 1/24).  Writing u = z^2, p_{2k} = sum_{j != i0} w_j^{2k} and
+
+    c_k = lambda_k (p_{2k} - E + 2k w_{i0}),
+
+the kernel is A = [u^g] exp(sum_{k=1..g} c_k u^k) = e_g, with e_0 = 1 and
+m e_m = sum_{k=1..m} k c_k e_{m-k}.  Slots may be fixed rationals or
 polynomials in formal variables; the result is a polynomial in the slot
 values, even in every slot except i0.
 """
@@ -86,33 +94,7 @@ def series_zlogS(order: int) -> TruncatedSeries:
     return s.z_derivative_times_z() * s.inverse()
 
 
-@lru_cache(maxsize=None)
-def _series_S_inv_pow(order: int, e: int) -> TruncatedSeries:
-    """S(z)^(-e) for e >= 0, Fraction coefficients."""
-    return series_S(order).inverse().pow(e)
-
-
 Slot = Union[Fraction, int, MultiPoly]
-
-
-@dataclass(frozen=True)
-class KernelPolynomial:
-    """Result of a kernel expansion at one vertex.
-
-    body is a polynomial in the formal slots (a constant when every slot
-    is a fixed rational).  slots keeps the coerced slot expressions for
-    reference, i0 the distinguished slot index, exponent the S-power used.
-    """
-
-    genus: int
-    slots: tuple[MultiPoly, ...]
-    i0: int
-    convention: ConventionFlags
-    exponent: int
-    body: MultiPoly
-
-    def value(self) -> Fraction:
-        return self.body.constant_value()
 
 
 # One entry per vertex shape: the canonical slot variable ids and the body
@@ -120,26 +102,19 @@ class KernelPolynomial:
 _KERNEL_CACHE: dict[tuple[int, int, int, int], tuple[tuple[int, ...], MultiPoly]] = {}
 
 
-def _series_for_slot(order: int, w: MultiPoly) -> TruncatedSeries:
-    """S(w z) as a series in z: coefficient of z^k is s_k * w^k."""
-    base = series_S(order)
-    coeffs = []
-    wpow = MultiPoly.one()
-    for k in range(order + 1):
-        if k:
-            wpow = wpow * w
-        coeffs.append(wpow * base.coeffs[k])
-    return TruncatedSeries(coeffs, order)
-
-
 def _kernel_body(genus: int, slots: tuple[MultiPoly, ...], i0: int, exponent: int) -> MultiPoly:
-    order = 2 * genus
-    acc = _series_S_inv_pow(order, exponent).lift()
-    for k, w in enumerate(slots):
-        if k != i0:
-            acc = acc * _series_for_slot(order, w)
-    acc = acc * series_zlogS(order).lift().scale(slots[i0]).exp()
-    return acc.coefficient(order)
+    """[u^g] exp(sum_k c_k u^k) by m e_m = sum_k k c_k e_{m-k}; see the module docstring."""
+    zlogs = series_zlogS(2 * genus).coeffs
+    others = [w for j, w in enumerate(slots) if j != i0]
+    c = []
+    for k in range(1, genus + 1):
+        p2k = sum((w ** (2 * k) for w in others), MultiPoly.zero())
+        c.append((p2k - exponent + slots[i0] * (2 * k)) * (zlogs[2 * k] / (2 * k)))
+    e = [MultiPoly.one()]
+    for m in range(1, genus + 1):
+        acc = sum((e[m - k] * c[k - 1] * k for k in range(1, m + 1)), MultiPoly.zero())
+        e.append(acc * Fraction(1, m))
+    return e[genus]
 
 
 def kernel_A(
@@ -147,12 +122,13 @@ def kernel_A(
     slots: Sequence[Slot],
     i0: int,
     convention: ConventionFlags = DEFAULT_CONVENTION,
-) -> KernelPolynomial:
+) -> MultiPoly:
     """Expand the vertex kernel for the given slots.
 
     slots are fixed rationals or polynomials in formal variables; i0
-    indexes the distinguished slot.  The returned body has total degree
-    <= 2*genus in the slots and is even in every slot other than i0.
+    indexes the distinguished slot.  The result is a polynomial in the
+    formal slots (a constant when every slot is a fixed rational) of
+    total degree <= 2*genus, even in every slot other than i0.
     """
     if genus < 0:
         raise ValueError("vertex genus must be >= 0")
@@ -172,8 +148,7 @@ def kernel_A(
         body = _kernel_body(genus, tuple(MultiPoly.variable(v) for v in canon), i0, exponent)
         entry = _KERNEL_CACHE[key] = (canon, body)
     canon, body = entry
-    body = body.substitute(dict(zip(canon, coerced)))
-    return KernelPolynomial(genus, coerced, i0, convention, exponent, body)
+    return body.substitute(dict(zip(canon, coerced)))
 
 
 @dataclass(frozen=True)

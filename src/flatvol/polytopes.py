@@ -390,11 +390,11 @@ def integrate(p: MultiPoly, dom: CascadePolytope, apex_rule: str = "lex_min") ->
     for vid in p.vars:
         if vid not in allowed:
             raise ValueError(f"integrand uses foreign variable {var_name(vid)}")
-    q = p.substitute({v: ps.subst[v] for v in p.vars})
     if not ps.free:
         if any(e.constant_value() <= 0 for e in ps.exprs):
             return Fraction(0)
-        return q.constant_value()
+        return p.evaluate({v: ps.subst[v].constant_value() for v in p.vars})
+    q = p.substitute({v: ps.subst[v] for v in p.vars})
     vrep = enumerate_vertices(ps.exprs, ps.free)
     if not vrep.full_dim:
         return Fraction(0)

@@ -31,6 +31,10 @@ class CheckRow:
     detail: str
 
 
+def _label(conv: ConventionFlags) -> str:
+    return f"{conv.s_exponent}/{conv.term_sign}"
+
+
 @dataclass(frozen=True)
 class ConventionReport:
     convention: ConventionFlags
@@ -38,7 +42,7 @@ class ConventionReport:
 
     @property
     def label(self) -> str:
-        return f"{self.convention.s_exponent}/{self.convention.term_sign}"
+        return _label(self.convention)
 
     @property
     def all_pass(self) -> bool:
@@ -57,20 +61,17 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        passing = {r.label for r in self.reports if r.all_pass}
-        default = f"{DEFAULT_CONVENTION.s_exponent}/{DEFAULT_CONVENTION.term_sign}"
-        return passing == {default}
+        return {r.convention for r in self.reports if r.all_pass} == {DEFAULT_CONVENTION}
 
     def report_for(self, convention: ConventionFlags) -> ConventionReport:
         for r in self.reports:
-            if r.convention.key() == convention.key():
+            if r.convention == convention:
                 return r
         raise KeyError(convention)
 
     def render(self) -> str:
-        labels = [r.label for r in self.reports]
-        default = f"{DEFAULT_CONVENTION.s_exponent}/{DEFAULT_CONVENTION.term_sign}"
-        heads = [lab + (" *" if lab == default else "") for lab in labels]
+        default = _label(DEFAULT_CONVENTION)
+        heads = [r.label + (" *" if r.label == default else "") for r in self.reports]
         name_w = max(len(c) for c in CHECK_NAMES) + 2
         col_w = [max(len(h), 4) + 2 for h in heads]
         lines = ["".join(["check".ljust(name_w)] + [h.ljust(w) for h, w in zip(heads, col_w)])]
@@ -90,7 +91,7 @@ class ValidationReport:
 
     def to_dict(self) -> dict:
         return {
-            "default": f"{DEFAULT_CONVENTION.s_exponent}/{DEFAULT_CONVENTION.term_sign}",
+            "default": _label(DEFAULT_CONVENTION),
             "ok": self.ok,
             "matrix": {
                 rep.label: {
@@ -142,7 +143,7 @@ def _check_genus0_oracle(conv: ConventionFlags) -> tuple[bool, str]:
 
 def _check_kernel_wall_zero(conv: ConventionFlags) -> tuple[bool, str]:
     one = MultiPoly.const(Fraction(1))
-    val = kernel_A(1, (one, one), 0, convention=conv).value()
+    val = kernel_A(1, (one, one), 0, convention=conv).constant_value()
     if val != 0:
         return False, f"kernel at genus 1, slots (1,1) is {val}, expected 0"
     return True, "kernel vanishes at (1,1)"

@@ -211,24 +211,6 @@ def test_series_arithmetic():
     assert all(prod.coefficient(m) == 0 for m in range(1, 7))
 
 
-def test_series_exp():
-    z = _series(8, {1: Fraction(1)})
-    e = z.exp()
-    fact = 1
-    for m in range(1, 9):
-        fact *= m
-        assert e.coefficient(m) == Fraction(1, fact)
-
-    # exp turns addition into multiplication
-    w = _series(8, {2: Fraction(1, 3)})
-    lhs = (z + w).exp()
-    rhs = z.exp() * w.exp()
-    assert lhs.coeffs == rhs.coeffs
-
-    with pytest.raises(ValueError):
-        TruncatedSeries.constant(Fraction(1), 4).exp()
-
-
 def test_series_z_derivative():
     s = _series(5, {0: Fraction(1), 2: Fraction(1, 4), 3: Fraction(2)})
     d = s.z_derivative_times_z()
@@ -236,9 +218,3 @@ def test_series_z_derivative():
     assert d.coefficient(2) == Fraction(1, 2)
     assert d.coefficient(3) == 6
 
-
-def test_series_lift():
-    s = _series(3, {0: Fraction(1), 2: Fraction(1, 24)})
-    lifted = s.lift()
-    assert lifted.coefficient(2).constant_value() == Fraction(1, 24)
-    assert lifted.coefficient(1).is_zero()

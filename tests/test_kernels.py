@@ -68,7 +68,7 @@ def test_kernel_genus0_is_one():
         slots = tuple(MultiPoly.const(Fraction(1, 3)) for _ in range(n))
         for conv in ALL_CONVENTIONS:
             k = kernel_A(0, slots, 0, convention=conv)
-            assert k.value() == 1
+            assert k.constant_value() == 1
 
 
 def test_kernel_genus1_closed_forms():
@@ -76,27 +76,27 @@ def test_kernel_genus1_closed_forms():
     slots = (MultiPoly.const(a1), MultiPoly.const(a2))
 
     printed = kernel_A(1, slots, 0, convention=ConventionFlags("printed", "prefactor"))
-    assert printed.value() == (2 * a1 + a2 ** 2 - 2) / 24
+    assert printed.constant_value() == (2 * a1 + a2 ** 2 - 2) / 24
 
     shifted = kernel_A(1, slots, 0, convention=DEFAULT_CONVENTION)
-    assert shifted.value() == (2 * a1 + a2 ** 2 - 3) / 24
+    assert shifted.constant_value() == (2 * a1 + a2 ** 2 - 3) / 24
 
     # the shifted exponent zeroes the kernel at the integer corner (1,1)
     ones = (MultiPoly.one(), MultiPoly.one())
-    assert kernel_A(1, ones, 0, convention=DEFAULT_CONVENTION).value() == 0
-    assert kernel_A(1, ones, 0,
-                    convention=ConventionFlags("printed", "prefactor")).value() == Fraction(1, 24)
+    assert kernel_A(1, ones, 0, convention=DEFAULT_CONVENTION).constant_value() == 0
+    printed_ones = kernel_A(1, ones, 0, convention=ConventionFlags("printed", "prefactor"))
+    assert printed_ones.constant_value() == Fraction(1, 24)
 
 
 def test_kernel_symbolic_matches_closed_form():
     x, y = fresh_var("kx"), fresh_var("ky")
     px, py = MultiPoly.variable(x), MultiPoly.variable(y)
-    body = kernel_A(1, (px, py), 0, convention=DEFAULT_CONVENTION).body
+    body = kernel_A(1, (px, py), 0, convention=DEFAULT_CONVENTION)
     expected = (px * 2 + py * py - MultiPoly.const(Fraction(3))) * Fraction(1, 24)
     assert body == expected
 
     # i0 selects which slot feeds the exponential factor
-    body2 = kernel_A(1, (px, py), 1, convention=DEFAULT_CONVENTION).body
+    body2 = kernel_A(1, (px, py), 1, convention=DEFAULT_CONVENTION)
     expected2 = (py * 2 + px * px - MultiPoly.const(Fraction(3))) * Fraction(1, 24)
     assert body2 == expected2
 
@@ -107,8 +107,8 @@ def test_kernel_cache_consistency():
     x, y = fresh_var("cx"), fresh_var("cy")
     px, py = MultiPoly.variable(x), MultiPoly.variable(y)
     slots = (px * Fraction(-1), py)
-    body = kernel_A(1, slots, 0, convention=DEFAULT_CONVENTION).body
-    again = kernel_A(1, slots, 0, convention=DEFAULT_CONVENTION).body
+    body = kernel_A(1, slots, 0, convention=DEFAULT_CONVENTION)
+    again = kernel_A(1, slots, 0, convention=DEFAULT_CONVENTION)
     assert body == again
     pt = {x: Fraction(2, 3), y: Fraction(1, 5)}
     direct = kernel_A(
@@ -116,7 +116,7 @@ def test_kernel_cache_consistency():
         (MultiPoly.const(Fraction(-2, 3)), MultiPoly.const(Fraction(1, 5))),
         0,
         convention=DEFAULT_CONVENTION,
-    ).value()
+    ).constant_value()
     assert body.evaluate(pt) == direct
 
     half = MultiPoly.const(Fraction(1, 2))
@@ -129,9 +129,58 @@ def test_kernel_cache_consistency():
             at_pt = tuple(MultiPoly.const(w.evaluate(pt)) for w in case)
             for i0 in range(len(case)):
                 kp = kernel_A(genus, case, i0, convention=DEFAULT_CONVENTION)
-                assert kp.body == _kernel_body(genus, case, i0, kp.exponent)
+                exponent = DEFAULT_CONVENTION.slot_exponent(genus, len(case))
+                assert kp == _kernel_body(genus, case, i0, exponent)
                 const = kernel_A(genus, at_pt, i0, convention=DEFAULT_CONVENTION)
-                assert kp.body.evaluate(pt) == const.value()
+                assert kp.evaluate(pt) == const.constant_value()
+
+
+def _conv(a, b):
+    n = len(a)
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+def _inv(a):
+    out = [1 / a[0]]
+    for m in range(1, len(a)):
+        out.append(-sum(a[k] * out[m - k] for k in range(1, m + 1)) / a[0])
+    return out
+
+
+def _exp(a):
+    # exp of a series with zero constant term: m e_m = sum_k k a_k e_{m-k}
+    out = [Fraction(1)]
+    for m in range(1, len(a)):
+        out.append(sum(k * a[k] * out[m - k] for k in range(1, m + 1)) / m)
+    return out
+
+
+def _oracle_kernel(genus, slots, i0, exponent):
+    """[z^2g] S^-E * exp(w_i0 zS'/S) * prod_{j != i0} S(w_j z), on Fraction lists."""
+    n = 2 * genus + 1
+    s = [Fraction(1, 4 ** (k // 2) * math.factorial(k + 1)) if k % 2 == 0 else Fraction(0)
+         for k in range(n)]
+    acc = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for _ in range(exponent):
+        acc = _conv(acc, _inv(s))
+    for j, w in enumerate(slots):
+        if j != i0:
+            acc = _conv(acc, [c * w ** k for k, c in enumerate(s)])
+    zlogs = _conv([k * c for k, c in enumerate(s)], _inv(s))
+    acc = _conv(acc, _exp([slots[i0] * c for c in zlogs]))
+    return acc[2 * genus]
+
+
+def test_kernel_matches_series_oracle():
+    values = (Fraction(2, 3), Fraction(-5, 7), Fraction(3, 2), Fraction(1, 5), Fraction(-7, 4))
+    for genus in (2, 3, 4):
+        for n in (3, 4, 5):
+            slots = values[:n]
+            for conv in (ConventionFlags("printed", "prefactor"), DEFAULT_CONVENTION):
+                exponent = conv.slot_exponent(genus, n)
+                for i0 in range(n):
+                    got = kernel_A(genus, slots, i0, convention=conv).constant_value()
+                    assert got == _oracle_kernel(genus, slots, i0, exponent), (genus, n, conv, i0)
 
 
 def test_kernel_genus2_slot_degrees():
@@ -139,9 +188,9 @@ def test_kernel_genus2_slot_degrees():
     slots = (MultiPoly.variable(x), MultiPoly.const(Fraction(1, 2)))
     # ordinary slots enter through S(x z): degree 2g; the distinguished
     # slot enters through the exponential of z^2-and-up terms: degree g
-    body = kernel_A(2, slots, 1, convention=DEFAULT_CONVENTION).body
+    body = kernel_A(2, slots, 1, convention=DEFAULT_CONVENTION)
     assert body.degree_in(x) == 4
-    body_i0 = kernel_A(2, slots, 0, convention=DEFAULT_CONVENTION).body
+    body_i0 = kernel_A(2, slots, 0, convention=DEFAULT_CONVENTION)
     assert body_i0.degree_in(x) == 2
 
 
