@@ -7,9 +7,12 @@ block).  The measure is the projection measure: eliminate the last
 variable of every block and integrate d(remaining coordinates).
 
 Integration parametrizes the cascade to an inequality system over the
-free coordinates, enumerates its vertices exactly, fans a triangulation
-from the lexicographically smallest vertex, and pulls the integrand back
-to the standard simplex where monomials integrate in closed form:
+free coordinates, enumerates its vertices exactly (with the value of every
+cascade variable there), fans a triangulation from the lexicographically
+smallest vertex, and pulls the integrand back to the standard simplex
+straight from the cascade variables: on a simplex chart every cascade
+variable is affine in t, with its vertex values as the affine data.  On
+the standard simplex monomials integrate in closed form:
 
     int_{t_i >= 0, sum t <= 1} prod t_i^{m_i} dt = prod m_i! / (sum m_i + d)!
 """
@@ -20,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .exact import MultiPoly, common_denominator, compose_affine, var_name
 
@@ -214,7 +217,8 @@ def affine_dim(points: Sequence[Point]) -> int:
 class VRepPolytope:
     """Vertices of a closed feasible set plus facet certificates.
 
-    tight[k] lists the inequality indices active at vertices[k]; full_dim
+    tight[k] lists the inequality indices active at vertices[k], and
+    values[k] holds every inequality expression's value there; full_dim
     says whether the affine hull of the vertices has the ambient dimension
     (if not, the open feasible set is empty and integrals vanish).
     """
@@ -222,11 +226,14 @@ class VRepPolytope:
     dim: int
     vertices: tuple[Point, ...]
     tight: tuple[frozenset[int], ...]
+    values: tuple[tuple[Fraction, ...], ...]
     full_dim: bool
 
 
-def _ineq_rows(exprs: Sequence[MultiPoly], free: Sequence[int]) -> list[tuple[int, list[int]]]:
-    """Rows (b, a) of b + a.x >= 0, each scaled to integers by its positive lcm.
+def _ineq_rows(
+    exprs: Sequence[MultiPoly], free: Sequence[int]
+) -> list[tuple[int, list[int], int]]:
+    """Rows (b, a, s) of b + a.x >= 0, each the expression times its positive lcm s.
 
     A positive scale keeps every sign, so feasibility and tightness hold.
     """
@@ -246,8 +253,8 @@ def _ineq_rows(exprs: Sequence[MultiPoly], free: Sequence[int]) -> list[tuple[in
                 if vid not in pos:
                     raise ValueError(f"inequality uses non-free variable {var_name(vid)}")
                 a[pos[vid]] = c
-        nums, _ = common_denominator([b] + a)
-        rows.append((nums[0], nums[1:]))
+        nums, scale = common_denominator([b] + a)
+        rows.append((nums[0], nums[1:], scale))
     return rows
 
 
@@ -271,12 +278,12 @@ def enumerate_vertices(
     # zero row is singular, so a basis takes one row from each of d distinct
     # classes of parallel rows
     classes: dict[tuple[int, ...], list[int]] = {}
-    for i, (_, a) in enumerate(rows):
+    for i, (_, a, _) in enumerate(rows):
         g = math.gcd(*a)
         if g:
             g = g if next(x for x in a if x) > 0 else -g
             classes.setdefault(tuple(x // g for x in a), []).append(i)
-    found: dict[Point, set[int]] = {}
+    found: dict[Point, tuple[set[int], tuple[Fraction, ...]]] = {}
     bases = itertools.chain.from_iterable(
         itertools.product(*group) for group in itertools.combinations(classes.values(), d)
     )
@@ -285,19 +292,26 @@ def enumerate_vertices(
         if sol is None:
             continue
         num, den = sol
-        vals = [b * den + sum(c * x for c, x in zip(a, num)) for b, a in rows]
+        vals = [b * den + sum(c * x for c, x in zip(a, num)) for b, a, _ in rows]
         if any(v < 0 for v in vals):
             continue
         tight = {i for i, v in enumerate(vals) if v == 0}
         pt = tuple(Fraction(x, den) for x in num)
         prev = found.get(pt)
         if prev is None:
-            found[pt] = tight
+            # row i is s_i times its expression, so the value is vals[i] / (den * s_i)
+            found[pt] = (tight, tuple(Fraction(v, den * s) for v, (_, _, s) in zip(vals, rows)))
         else:
-            prev |= tight
+            prev[0].update(tight)
     verts = tuple(sorted(found))
     full = len(verts) > 0 and affine_dim(verts) == d
-    return VRepPolytope(d, verts, tuple(frozenset(found[v]) for v in verts), full)
+    return VRepPolytope(
+        d,
+        verts,
+        tuple(frozenset(found[v][0]) for v in verts),
+        tuple(found[v][1] for v in verts),
+        full,
+    )
 
 
 # -- triangulation ---------------------------------------------------------
@@ -343,28 +357,35 @@ def triangulate(
     return [tuple(verts[i] for i in s) for s in simplices]
 
 
-def integrate_over_simplex(p: MultiPoly, simplex: Sequence[Point], free: Sequence[int]) -> Fraction:
+def integrate_over_simplex(
+    p: MultiPoly, simplex: Sequence[Mapping[int, Fraction]], free: Sequence[int]
+) -> Fraction:
     """Exact integral of p over a d-simplex in the free coordinates.
 
-    Pulls back through the affine chart x = v0 + M t and applies the
-    Dirichlet monomial formula on the standard simplex.  Substitution is
-    simultaneous, so the free variables serve as the chart coordinates t.
+    Each vertex maps every free variable and every variable of p to its
+    value there.  On the chart x = v0 + M t each variable v of p is affine,
+    v = val_0(v) + sum_j t_j (val_j(v) - val_0(v)), so p is pulled back by
+    one affine substitution and integrated with the Dirichlet monomial
+    formula on the standard simplex.  The free variables serve as the chart
+    coordinates t.
     """
     d = len(free)
     if len(simplex) != d + 1:
         raise ValueError("simplex needs d+1 vertices")
     v0 = simplex[0]
-    cols = [[v[i] - v0[i] for i in range(d)] for v in simplex[1:]]
+    cols = [[v[f] - v0[f] for f in free] for v in simplex[1:]]
     # det M = det of the integer-scaled columns / prod of their scales
     scaled = [common_denominator(col) for col in cols]
     rank, pivot = _bareiss([nums for nums, _ in scaled], d)
     if rank < d:
         return Fraction(0)
     det_den = math.prod(den for _, den in scaled)
-    images = {
-        vid: MultiPoly.affine(v0[i], {free[j]: cols[j][i] for j in range(d)})
-        for i, vid in enumerate(free)
-    }
+    images = {}
+    for vid in p.vars:
+        base = v0[vid]
+        lin: Affine = {t: v[vid] - base for t, v in zip(free, simplex[1:])}
+        lin[None] = base
+        images[vid] = _affine_poly({k: c for k, c in lin.items() if c})
     q = compose_affine(p, images)
     # sum c * prod m_i! / (|m| + d)! over the common denominator den * (D + d)!
     nums, den = common_denominator(list(q.terms.values()))
@@ -383,7 +404,9 @@ def integrate(p: MultiPoly, dom: CascadePolytope, apex_rule: str = "lex_min") ->
 
     Zero-dimensional domains (all blocks singletons) become substitution
     atoms: the value of p at the forced point when every level is
-    positive, 0 otherwise.
+    positive, 0 otherwise.  Otherwise p is pulled back onto each simplex
+    of the triangulation from the values of the cascade variables at its
+    vertices, with no expansion into the free chart.
     """
     ps = parametrize(dom)
     allowed = set(dom.variables)
@@ -394,13 +417,14 @@ def integrate(p: MultiPoly, dom: CascadePolytope, apex_rule: str = "lex_min") ->
         if any(e.constant_value() <= 0 for e in ps.exprs):
             return Fraction(0)
         return p.evaluate({v: ps.subst[v].constant_value() for v in p.vars})
-    q = p.substitute({v: ps.subst[v] for v in p.vars})
     vrep = enumerate_vertices(ps.exprs, ps.free)
     if not vrep.full_dim:
         return Fraction(0)
+    # ps.exprs holds one expression per cascade variable, in dom.variables order
+    at = {pt: dict(zip(dom.variables, vals)) for pt, vals in zip(vrep.vertices, vrep.values)}
     total = Fraction(0)
     for simplex in triangulate(vrep, ps.exprs, ps.free, apex_rule):
-        total += integrate_over_simplex(q, simplex, ps.free)
+        total += integrate_over_simplex(p, [at[pt] for pt in simplex], ps.free)
     return total
 
 
@@ -425,7 +449,7 @@ def lattice_sum(p: MultiPoly, dom: CascadePolytope, k: int) -> float:
     if not vrep.full_dim:
         return 0.0
     rows = _ineq_rows(ps.exprs, ps.free)
-    frows = [(float(b), [float(c) for c in a]) for b, a in rows]
+    frows = [(float(b), [float(c) for c in a]) for b, a, _ in rows]
     lo = [min(v[i] for v in vrep.vertices) for i in range(d)]
     hi = [max(v[i] for v in vrep.vertices) for i in range(d)]
     ranges = [

@@ -217,7 +217,10 @@ def test_criterion_07_polytope_engine():
         if not vrep.full_dim:
             return Fraction(0)
         return sum(
-            (integrate_over_simplex(p, s, free) for s in triangulate(vrep, exprs, free, apex_rule)),
+            (
+                integrate_over_simplex(p, [dict(zip(free, v)) for v in s], free)
+                for s in triangulate(vrep, exprs, free, apex_rule)
+            ),
             Fraction(0),
         )
 

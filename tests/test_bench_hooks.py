@@ -35,5 +35,10 @@ def test_span_targets_resolve_and_fire():
         fv = recursion.evaluate(WeightVector(1, (Fraction(3, 2), Fraction(1, 2))))
     assert all(a is b for a, b in zip(before, spans.current_targets()))
     assert fv.value == Fraction(-1, 192)
-    silent = [name for name, row in tracer.layers().items() if row["calls"] == 0]
+    layers = tracer.layers()
+    silent = [name for name, row in layers.items() if row["calls"] == 0]
     assert silent == []
+    # the compose_affine span is the per-simplex pullback: one call per simplex
+    pullbacks = layers["exact.compose_affine"]["calls"]
+    assert pullbacks == layers["polytopes.integrate_over_simplex"]["calls"]
+    assert pullbacks == tracer.counts["polytopes.triangulate.simplices"]

@@ -72,7 +72,7 @@ def test_simplex_measure_and_moment():
     # the triangle (0,0), (0,2/5), (1/3,0) listed with negative orientation
     x, y = fresh_var("mx"), fresh_var("my")
     z = Fraction(0)
-    tri = [(z, z), (z, Fraction(2, 5)), (Fraction(1, 3), z)]
+    tri = [dict(zip((x, y), v)) for v in [(z, z), (z, Fraction(2, 5)), (Fraction(1, 3), z)]]
     assert integrate_over_simplex(MultiPoly.one(), tri, (x, y)) == Fraction(1, 15)
     assert integrate_over_simplex(MultiPoly.variable(x), tri, (x, y)) == Fraction(1, 135)
 
@@ -81,7 +81,8 @@ def test_simplex_measure_and_moment():
     v0 = (Fraction(1, 7), Fraction(-1), Fraction(2))
     cols = [(Fraction(1, 2), Fraction(1), z), (z, Fraction(-1, 3), Fraction(2)),
             (Fraction(1, 5), Fraction(3), Fraction(-3, 7))]
-    simplex = [v0] + [tuple(a + b for a, b in zip(v0, col)) for col in cols]
+    pts = [v0] + [tuple(a + b for a, b in zip(v0, col)) for col in cols]
+    simplex = [dict(zip(free, v)) for v in pts]
     (a, b, c), (d, e, f), (g, h, i) = cols
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     assert integrate_over_simplex(MultiPoly.one(), simplex, free) == abs(det) / 6
@@ -297,8 +298,48 @@ def _region_integral(p, exprs, free, apex_rule="lex_min"):
         return Fraction(0)
     total = Fraction(0)
     for simplex in triangulate(vrep, exprs, free, apex_rule=apex_rule):
-        total += integrate_over_simplex(p, simplex, free)
+        total += integrate_over_simplex(p, [dict(zip(free, v)) for v in simplex], free)
     return total
+
+
+def _random_cascade(rng, tag):
+    """2-3 blocks of dimension 1-4 in all; child levels affine in earlier blocks."""
+    while True:
+        sizes = [rng.randint(2, 3)] + [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+        if 1 <= sum(sizes) - len(sizes) <= 4:
+            break
+    blocks, earlier = [], []
+    for j, size in enumerate(sizes):
+        vs = tuple(fresh_var(f"{tag}{j}{i}") for i in range(size))
+        level = MultiPoly.const(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        for v in rng.sample(earlier, min(len(earlier), rng.randint(1, 3))):
+            coef = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+            level = level + MultiPoly.variable(v) * coef
+        blocks.append(Block(vs, level))
+        earlier.extend(vs)
+    return CascadePolytope(tuple(blocks))
+
+
+def test_integrate_matches_free_chart_pullback():
+    # reference: expand p into the free chart, then pull the expansion back
+    # onto each simplex from the free coordinates of its vertices
+    rng = random.Random(43)
+    nonzero = 0
+    for trial in range(40):
+        dom = _random_cascade(rng, f"fc{trial}_")
+        heads = [blk.vars[-1] for blk in dom.blocks]
+        p = MultiPoly.zero()
+        for _ in range(rng.randint(1, 4)):
+            term = MultiPoly.const(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3)):
+                term = term * MultiPoly.variable(rng.choice(heads + list(dom.variables)))
+            p = p + term
+        ps = parametrize(dom)
+        q = p.substitute({v: ps.subst[v] for v in p.vars})
+        want = _region_integral(q, ps.exprs, ps.free)
+        assert integrate(p, dom) == want, trial
+        nonzero += want != 0
+    assert nonzero >= 30
 
 
 def test_hyperplane_split_additivity():

@@ -75,6 +75,40 @@ def test_genus3_pinned_value_and_i0_independence():
     assert evaluate(w, i0=2).value == Fraction(-242, 1594323)
 
 
+def test_genus2_invariance_three_markings():
+    w = _w(2, "4/7", "9/7", "22/7")
+    want = Fraction(2104, 17294403)
+    assert evaluate(w).value == want
+    assert evaluate(_w(2, "22/7", "4/7", "9/7")).value == want
+    assert evaluate(w, i0=2).value == want
+
+
+def _genus0_closed_form(entries):
+    # (-1)^n sum over I containing the first marking of (-1)^|I| max(0, 1 - mu_I)^(n-3),
+    # with mu_i = 1 - alpha_i; valid for genus 0 and every 0 < alpha_i < 1
+    n = len(entries)
+    mu = [1 - a for a in entries]
+    total = Fraction(0)
+    for rest in itertools.product((0, 1), repeat=n - 1):
+        size = 1 + sum(rest)
+        mu_set = mu[0] + sum(m for m, k in zip(mu[1:], rest) if k)
+        total += (-1) ** size * max(Fraction(0), 1 - mu_set) ** (n - 3)
+    return (-1) ** n * total
+
+
+@pytest.mark.parametrize(
+    "entries, want",
+    [
+        (("1/2", "2/3", "5/6", "4/5", "1/5"), Fraction(7, 180)),
+        (("1/2", "2/3", "5/6", "4/5", "7/10", "1/2"), Fraction(-137, 2700)),
+    ],
+)
+def test_genus0_closed_form(entries, want):
+    w = _w(0, *entries)
+    assert _genus0_closed_form(w.entries) == want
+    assert evaluate(w).value == want
+
+
 def test_terms_sum_to_value():
     for w in (_w(0, "9/10", "3/10", "1/2", "3/10"), _w(1, "1/2", "3/2"), _w(2, "1/2", "7/2")):
         fv = evaluate(w)
