@@ -13,20 +13,23 @@ ordered labelings and its terms carry the weight 1/(r! * prod e_j!),
 which equals the reciprocal automorphism count 1/|Aut|.
 
 Flattening expands every outer vertex through its own star graphs down
-to kernel leaves, producing one StarTree per combination: an integrand
-polynomial in the edge variables and a cascade of twist blocks, with
-block level 2g_j - 2 + n_j + e_j - sum of leg weights.  Within one
-flatten call each vertex type is expanded once; a later vertex of the
-same type gets that expansion with its variables renamed.
+to kernel leaves, producing one StarTree per combination: one factor
+polynomial per tree node, in the edge variables, and a cascade of twist
+blocks, with block level 2g_j - 2 + n_j + e_j - sum of leg weights.  The
+factors are never multiplied here; trees that share a node share its
+factor object, and StarTree.integrand forms the product on request.
+Within one flatten call each vertex type is expanded once; a later
+vertex of the same type gets that expansion with its variables renamed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping, Sequence, Union
 
 from .exact import MultiPoly, fresh_var, var_name
@@ -364,14 +367,21 @@ I0_POLICIES = ("smallest_marking", "largest_marking", "edge_first")
 class StarTree:
     """One flattened term: a star graph with fully expanded outer vertices.
 
-    integrand and domain cover the whole subtree, the per-node factors
-    (sign or prefactor, kernel body, edge monomial, 1/(r! prod e_j!))
-    multiplied together and the blocks cascaded in ancestor-first order.
+    factors holds one polynomial per tree node, root first and then each
+    child's subtree in outer-vertex order: the node's kernel body times
+    its edge monomial and 1/(r! prod e_j!), times its sign or prefactor.
+    Trees of one flatten call share factor and block objects.  domain
+    cascades the blocks of the whole subtree in ancestor-first order, and
+    integrand is the product of the factors, formed on each access.
     """
 
-    integrand: MultiPoly
+    factors: tuple[MultiPoly, ...]
     domain: CascadePolytope
     ident: str
+
+    @property
+    def integrand(self) -> MultiPoly:
+        return reduce(operator.mul, self.factors)
 
 
 def _child_i0(
@@ -411,16 +421,24 @@ def _renamed(template: Template, slots: tuple[int, ...]) -> list[StarTree]:
             return p
         return MultiPoly(tuple(ids[v] for v in p.vars), p.terms, _normalized=True)
 
-    blocks: dict[int, Block] = {}  # trees share blocks; rename each once
+    # trees share factors and blocks; rename each once
+    factors: dict[int, MultiPoly] = {}
+    blocks: dict[int, Block] = {}
     out = []
     for t in trees:
+        fs = []
+        for f in t.factors:
+            new = factors.get(id(f))
+            if new is None:
+                new = factors[id(f)] = poly(f)
+            fs.append(new)
         dom = []
         for blk in t.domain.blocks:
             new = blocks.get(id(blk))
             if new is None:
                 new = blocks[id(blk)] = Block(tuple(ids[v] for v in blk.vars), poly(blk.level))
             dom.append(new)
-        out.append(StarTree(poly(t.integrand), CascadePolytope(tuple(dom)), t.ident))
+        out.append(StarTree(tuple(fs), CascadePolytope(tuple(dom)), t.ident))
     return out
 
 
@@ -504,15 +522,15 @@ def _expand_graph(
     node_ident = f"{graph.genus0}[" + ",".join(leg_str(l) for l in graph.legs0) + "]"
     out: list[StarTree] = []
     for combo in itertools.product(*child_lists):
-        integrand = factor
+        factors = [factor]
         all_blocks = list(blocks)
         bits = []
         for ov, child in zip(graph.outer, combo):
-            integrand = integrand * child.integrand
+            factors.extend(child.factors)
             all_blocks.extend(child.domain.blocks)
             bits.append(f"({ov.genus},{ov.edges})" + child.ident)
         ident = node_ident + ("" if not bits else "(" + " ".join(bits) + ")")
-        out.append(StarTree(integrand, CascadePolytope(tuple(all_blocks)), ident))
+        out.append(StarTree(tuple(factors), CascadePolytope(tuple(all_blocks)), ident))
     return out
 
 

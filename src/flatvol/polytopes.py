@@ -6,13 +6,15 @@ affine expression in variables of earlier blocks (a constant for a root
 block).  The measure is the projection measure: eliminate the last
 variable of every block and integrate d(remaining coordinates).
 
-Integration parametrizes the cascade to an inequality system over the
-free coordinates, enumerates its vertices exactly (with the value of every
-cascade variable there), fans a triangulation from the lexicographically
-smallest vertex, and pulls the integrand back to the standard simplex
-straight from the cascade variables: on a simplex chart every cascade
-variable is affine in t, with its vertex values as the affine data.  On
-the standard simplex monomials integrate in closed form:
+A zero-dimensional cascade (all blocks singletons) is a single forced
+point, valued by point_value in one forward pass over its blocks.  Any
+other cascade is parametrized to an inequality system over the free
+coordinates; integration enumerates its vertices exactly (with the value
+of every cascade variable there), fans a triangulation from the
+lexicographically smallest vertex, and pulls the integrand back to the
+standard simplex straight from the cascade variables: on a simplex chart
+every cascade variable is affine in t, with its vertex values as the
+affine data.  On the standard simplex monomials integrate in closed form:
 
     int_{t_i >= 0, sum t <= 1} prod t_i^{m_i} dt = prod m_i! / (sum m_i + d)!
 """
@@ -115,6 +117,13 @@ def _affine_poly(lin: Affine) -> MultiPoly:
     return MultiPoly(vs, {unit[v]: c for v, c in lin.items()}, _normalized=True)
 
 
+def _require_closed(dom: CascadePolytope) -> None:
+    ext = dom.external_vars
+    if ext:
+        names = ", ".join(var_name(v) for v in ext)
+        raise ValueError(f"cascade is parametric in {names}; cannot integrate")
+
+
 def parametrize(dom: CascadePolytope) -> ParamSystem:
     """Eliminate the last variable of every block.
 
@@ -122,10 +131,7 @@ def parametrize(dom: CascadePolytope) -> ParamSystem:
     directly, term by term, so every expression comes out with the terms
     in the order a substitution would give them.
     """
-    ext = dom.external_vars
-    if ext:
-        names = ", ".join(var_name(v) for v in ext)
-        raise ValueError(f"cascade is parametric in {names}; cannot integrate")
+    _require_closed(dom)
     free: list[int] = []
     maps: dict[int, Affine] = {}
     subst: dict[int, MultiPoly] = {}
@@ -283,7 +289,9 @@ def enumerate_vertices(
         if g:
             g = g if next(x for x in a if x) > 0 else -g
             classes.setdefault(tuple(x // g for x in a), []).append(i)
-    found: dict[Point, tuple[set[int], tuple[Fraction, ...]]] = {}
+    # keyed by the solution (num, den) reduced by its gcd, which is unique
+    # per point; the first basis at a point keeps its integer row values
+    found: dict[tuple[tuple[int, ...], int], tuple[set[int], int, list[int]]] = {}
     bases = itertools.chain.from_iterable(
         itertools.product(*group) for group in itertools.combinations(classes.values(), d)
     )
@@ -296,20 +304,27 @@ def enumerate_vertices(
         if any(v < 0 for v in vals):
             continue
         tight = {i for i, v in enumerate(vals) if v == 0}
-        pt = tuple(Fraction(x, den) for x in num)
-        prev = found.get(pt)
+        g = math.gcd(den, *num)
+        key = (tuple(x // g for x in num), den // g)
+        prev = found.get(key)
         if prev is None:
-            # row i is s_i times its expression, so the value is vals[i] / (den * s_i)
-            found[pt] = (tight, tuple(Fraction(v, den * s) for v, (_, _, s) in zip(vals, rows)))
+            found[key] = (tight, den, vals)
         else:
             prev[0].update(tight)
-    verts = tuple(sorted(found))
+    points = {key: tuple(Fraction(x, key[1]) for x in key[0]) for key in found}
+    order = sorted(found, key=points.__getitem__)
+    verts = tuple(points[key] for key in order)
+    entries = [found[key] for key in order]
     full = len(verts) > 0 and affine_dim(verts) == d
+    # row i is s_i times its expression, so the value is vals[i] / (den * s_i)
     return VRepPolytope(
         d,
         verts,
-        tuple(frozenset(found[v][0]) for v in verts),
-        tuple(found[v][1] for v in verts),
+        tuple(frozenset(tight) for tight, _, _ in entries),
+        tuple(
+            tuple(Fraction(v, den * s) for v, (_, _, s) in zip(vals, rows))
+            for _, den, vals in entries
+        ),
         full,
     )
 
@@ -399,24 +414,61 @@ def integrate_over_simplex(
     return Fraction(abs(pivot) * acc, det_den * den * top)
 
 
+def point_value(
+    factors: Sequence[MultiPoly],
+    dom: CascadePolytope,
+    at: dict[int, Fraction],
+    factor_at: dict[int, Fraction],
+) -> Fraction:
+    """Product of the factors at the forced point of a zero-dimensional cascade.
+
+    One forward pass over the singleton blocks evaluates each level at the
+    earlier blocks' values and returns 0 at the first level <= 0.  The
+    cascade must be closed and every factor variable one of its own.
+
+    at (variable id -> forced value) and factor_at (id of a factor ->
+    its value there) are memos that this call fills.  Cascades may share
+    them only while each shared variable has the same forced value in
+    all of them and the factor objects stay alive, as among the trees of
+    one flatten call, where every variable belongs to exactly one block.
+    """
+    for blk in dom.blocks:
+        (vid,) = blk.vars
+        x = at.get(vid)
+        if x is None:
+            x = at[vid] = blk.level.evaluate(at)
+        if x <= 0:
+            return Fraction(0)
+    out = Fraction(1)
+    for f in factors:
+        y = factor_at.get(id(f))
+        if y is None:
+            y = factor_at[id(f)] = f.evaluate(at)
+        out *= y
+    return out
+
+
 def integrate(p: MultiPoly, dom: CascadePolytope, apex_rule: str = "lex_min") -> Fraction:
     """Exact integral of p over the cascade, projection measure.
 
-    Zero-dimensional domains (all blocks singletons) become substitution
-    atoms: the value of p at the forced point when every level is
-    positive, 0 otherwise.  Otherwise p is pulled back onto each simplex
-    of the triangulation from the values of the cascade variables at its
+    A zero-dimensional domain (all blocks singletons) is valued by
+    point_value: p at the forced point when every level is positive, 0
+    otherwise.  Otherwise the cascade is parametrized; a constant
+    expression <= 0 makes the domain empty before any vertex is
+    enumerated, and else p is pulled back onto each simplex of the
+    triangulation from the values of the cascade variables at its
     vertices, with no expansion into the free chart.
     """
-    ps = parametrize(dom)
+    _require_closed(dom)
     allowed = set(dom.variables)
     for vid in p.vars:
         if vid not in allowed:
             raise ValueError(f"integrand uses foreign variable {var_name(vid)}")
-    if not ps.free:
-        if any(e.constant_value() <= 0 for e in ps.exprs):
-            return Fraction(0)
-        return p.evaluate({v: ps.subst[v].constant_value() for v in p.vars})
+    if not dom.dimension():
+        return point_value((p,), dom, {}, {})
+    ps = parametrize(dom)
+    if any(not e.vars and e.constant_value() <= 0 for e in ps.exprs):
+        return Fraction(0)
     vrep = enumerate_vertices(ps.exprs, ps.free)
     if not vrep.full_dim:
         return Fraction(0)
@@ -436,13 +488,12 @@ def lattice_sum(p: MultiPoly, dom: CascadePolytope, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not dom.dimension():
+        _require_closed(dom)
+        return float(point_value((p,), dom, {}, {}))
     ps = parametrize(dom)
     d = len(ps.free)
     q = p.substitute({v: ps.subst[v] for v in p.vars})
-    if d == 0:
-        if any(e.constant_value() <= 0 for e in ps.exprs):
-            return 0.0
-        return float(q.constant_value())
     if d > 2:
         raise ValueError("lattice diagnostic limited to dimension <= 2")
     vrep = enumerate_vertices(ps.exprs, ps.free)

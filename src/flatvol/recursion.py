@@ -30,7 +30,7 @@ from .graphs import (
     twist_multiplicity,
 )
 from .kernels import ConventionFlags, DEFAULT_CONVENTION, q_factor
-from .polytopes import Block, CascadePolytope, integrate
+from .polytopes import Block, CascadePolytope, integrate, point_value
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,26 @@ def evaluate(
 
     Entries must be positive rationals summing to 2g-2+n.  The terms
     field lists (tree ident, exact contribution), sorted by ident.
+
+    A tree whose domain has no free coordinate is valued by point_value
+    from its unmultiplied node factors.  The forced values of variables
+    and factors are memoized over one root graph's tree list, where each
+    variable belongs to one block and so has one forced value; the memo
+    is dropped with the list.  Only a tree with a free coordinate has its
+    factors multiplied out, and goes through integrate.
     """
     if i0 not in alpha.labels():
         raise ValueError(f"i0 = {i0} is not a marking label")
     terms: list[tuple[str, Fraction]] = []
     for gph in enumerate_star_graphs(alpha.genus, alpha.labels(), i0):
+        at: dict[int, Fraction] = {}
+        factor_at: dict[int, Fraction] = {}
         for t in flatten(gph, alpha, convention, i0_policy):
-            terms.append((t.ident, integrate(t.integrand, t.domain)))
+            if t.domain.dimension():
+                value = integrate(t.integrand, t.domain)
+            else:
+                value = point_value(t.factors, t.domain, at, factor_at)
+            terms.append((t.ident, value))
     terms.sort()
     total = sum((v for _, v in terms), Fraction(0))
     return FlatValue(alpha, i0, convention, total, tuple(terms))

@@ -224,6 +224,25 @@ def test_atom_gating_cascade():
     assert integrate(MultiPoly.one(), dom) == 0
 
 
+def test_constant_nonpositive_expression_skips_vertices(monkeypatch):
+    # z's level u - 1 is the constant -1/2 once the atom u is substituted, so
+    # the one-dimensional cascade is empty before any vertex is enumerated
+    def refuse(*args, **kwargs):
+        raise AssertionError("vertex enumeration on an empty cascade")
+
+    monkeypatch.setattr(polytopes, "enumerate_vertices", refuse)
+    u, x, y, z = (fresh_var(f"cz{i}") for i in range(4))
+    dom = CascadePolytope(
+        (
+            Block((u,), MultiPoly.const(Fraction(1, 2))),
+            Block((x, y), MultiPoly.one()),
+            Block((z,), MultiPoly.variable(u) - 1),
+        )
+    )
+    assert dom.dimension() == 1
+    assert integrate(MultiPoly.variable(x), dom) == 0
+
+
 def test_integrate_rejects_foreign_variables():
     vs, dom = _simplex_dom(2, 1, "fv")
     stranger = fresh_var("stranger")

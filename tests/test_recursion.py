@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatvol import exact, kernels, recursion
-from flatvol.graphs import WeightVector
+from flatvol.graphs import WeightVector, enumerate_star_graphs, flatten
 from flatvol.kernels import PRINTED_CONVENTION, ConventionFlags
+from flatvol.polytopes import integrate, parametrize
 from flatvol.recursion import (
     evaluate,
     genus0_n4_oracle,
@@ -107,6 +108,60 @@ def test_genus0_closed_form(entries, want):
     w = _w(0, *entries)
     assert _genus0_closed_form(w.entries) == want
     assert evaluate(w).value == want
+
+
+def _unit_cube_genus0_points(n):
+    # mu_i = 1 - alpha_i = 2 w_i / sum(w) lies in (0, 1) and the mu_i sum to 2,
+    # so the alpha_i lie in (0, 1) and sum to n - 2
+    @st.composite
+    def draw(draw):
+        ws = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        assume(2 * max(ws) < sum(ws))
+        return tuple(1 - Fraction(2 * w, sum(ws)) for w in ws)
+
+    return draw()
+
+
+@pytest.mark.parametrize("n, examples", [(5, 12), (6, 10), (7, 3)])
+def test_genus0_closed_form_on_drawn_points(n, examples):
+    # every genus-0 tree has a zero-dimensional domain, so this checks the
+    # point valuation against a formula that does not use the engine
+    @settings(derandomize=True, max_examples=examples, deadline=None)
+    @given(_unit_cube_genus0_points(n))
+    def check(entries):
+        assert evaluate(WeightVector(0, entries)).value == _genus0_closed_form(entries)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "genus, entries, want",
+    [
+        (1, ("5/4", "5/4", "1/2"), Fraction(-5, 3072)),
+        (0, ("1/2", "2/3", "5/6", "4/5", "7/10", "1/2"), Fraction(-137, 2700)),
+        (2, ("4/7", "9/7", "22/7"), Fraction(2104, 17294403)),
+    ],
+)
+def test_tree_values_match_integrand_integrals(genus, entries, want):
+    # every tree of every root graph: its term in evaluate is the integral of
+    # the multiplied-out integrand, and a point tree's term is also checked
+    # against its forced point found by parametrize, 0 when a level is <= 0
+    w = _w(genus, *entries)
+    expected = []
+    point_terms_nonzero = set()
+    for gph in enumerate_star_graphs(w.genus, w.labels(), 1):
+        for t in flatten(gph, w):
+            value = integrate(t.integrand, t.domain)
+            if not t.domain.dimension():
+                forced = {v: e.constant_value() for v, e in parametrize(t.domain).subst.items()}
+                empty = any(x <= 0 for x in forced.values())
+                assert value == (0 if empty else t.integrand.evaluate(forced)), t.ident
+                point_terms_nonzero.add(value != 0)
+            expected.append((t.ident, value))
+    assert point_terms_nonzero == {False, True}
+    fv = evaluate(w)
+    assert fv.terms == tuple(sorted(expected))
+    assert fv.value == want
 
 
 def test_terms_sum_to_value():
