@@ -256,9 +256,8 @@ class MultiPoly:
 
         Every variable of self must have an image; a missing one is an
         error rather than an identity substitution.  The expansion runs on
-        integer numerators: each image is num_i / den_i, so a term
-        c * prod img_i^k_i is (c / prod den_i^k_i) * prod num_i^k_i, and
-        the weights c / prod den_i^k_i are brought to one denominator.
+        integer numerators (see _expand), each image brought to one
+        denominator.
         """
         imgs: list[MultiPoly] = []
         for vid in self.vars:
@@ -266,7 +265,6 @@ class MultiPoly:
                 raise ValueError(f"no image for variable {var_name(vid)}")
             imgs.append(MultiPoly.coerce(images[vid]))
         vs = tuple(sorted({v for img in imgs for v in img.vars}))
-        one = (0,) * len(vs)
         nums: list[dict[tuple[int, ...], int]] = []
         dens: list[int] = []
         for img in imgs:
@@ -274,27 +272,7 @@ class MultiPoly:
             num, den = common_denominator(list(terms.values()))
             nums.append(dict(zip(terms, num)))
             dens.append(den)
-        weights = []
-        for e, c in self.terms.items():
-            d = c.denominator
-            for den, k in zip(dens, e):
-                d *= den**k
-            weights.append(Fraction(c.numerator, d))
-        scaled, common = common_denominator(weights)
-        powers: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
-        out: dict[tuple[int, ...], int] = {}
-        for e, w in zip(self.terms, scaled):
-            m = {one: w}
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                key = (i, k)
-                if key not in powers:
-                    powers[key] = _int_pow(nums[i], k, one)
-                m = _mul_terms(m, powers[key])
-            for me, mc in m.items():
-                out[me] = out.get(me, 0) + mc
-        return MultiPoly(vs, {e: Fraction(n, common) for e, n in out.items() if n})
+        return _expand(self, vs, nums, dens)
 
     # -- display ----------------------------------------------------------
 
@@ -398,16 +376,57 @@ def _int_pow(
     return result
 
 
-def compose_affine(p: MultiPoly, images: Mapping[int, PolyLike]) -> MultiPoly:
-    """Substitute an affine expression for every variable of p.
+def _expand(
+    p: MultiPoly,
+    vs: tuple[int, ...],
+    nums: Sequence[dict[tuple[int, ...], int]],
+    dens: Sequence[int],
+) -> MultiPoly:
+    """p with its i-th variable replaced by nums[i] / dens[i], expanded.
 
-    Thin wrapper over MultiPoly.substitute that additionally rejects
-    non-affine images, since the simplex pullback relies on affineness.
+    nums[i] is an integer term dict keyed over vs.  A term
+    c * prod img_i^k_i is (c / prod den_i^k_i) * prod num_i^k_i, and the
+    weights c / prod den_i^k_i are brought to one denominator, so the
+    products run on integers.
     """
-    for vid, img in images.items():
-        if isinstance(img, MultiPoly) and not img.is_affine():
-            raise ValueError(f"image of {var_name(vid)} is not affine")
-    return p.substitute(images)
+    one = (0,) * len(vs)
+    weights = []
+    for e, c in p.terms.items():
+        d = c.denominator
+        for den, k in zip(dens, e):
+            d *= den**k
+        weights.append(Fraction(c.numerator, d))
+    scaled, common = common_denominator(weights)
+    powers: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+    out: dict[tuple[int, ...], int] = {}
+    for e, w in zip(p.terms, scaled):
+        m = {one: w}
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            key = (i, k)
+            if key not in powers:
+                powers[key] = _int_pow(nums[i], k, one)
+            m = _mul_terms(m, powers[key])
+        for me, mc in m.items():
+            out[me] = out.get(me, 0) + mc
+    return MultiPoly(vs, {e: Fraction(n, common) for e, n in out.items() if n})
+
+
+def compose_affine(
+    p: MultiPoly, images: Mapping[int, Mapping[int | None, int]], den: int
+) -> MultiPoly:
+    """p with every variable v replaced by the affine map images[v] / den.
+
+    images[v] maps each variable of the new chart (None for the constant)
+    to an integer numerator; den > 0 is shared by all images.  The
+    expansion runs on the integer core of MultiPoly.substitute.
+    """
+    vs = tuple(sorted({t for lin in images.values() for t in lin if t is not None}))
+    unit = {t: tuple(int(u == t) for u in vs) for t in vs}
+    unit[None] = (0,) * len(vs)
+    nums = [{unit[t]: c for t, c in images[vid].items()} for vid in p.vars]
+    return _expand(p, vs, nums, [den] * len(nums))
 
 
 class TruncatedSeries:

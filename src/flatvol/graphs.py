@@ -397,16 +397,21 @@ def _child_i0(
     return pick(fixed, key=label_key)
 
 
+# A subtree is (factors, blocks, ident), the parts of a StarTree before its
+# blocks form a cascade: flatten checks each root cascade once, and it holds
+# every block of its subtrees in ancestor-first order.
+Subtree = tuple[tuple[MultiPoly, ...], tuple[Block, ...], str]
+
 # A vertex type is (genus, fixed marking labels, number of inherited edge
 # legs, number of new edges); a label fixes its weight within one flatten
 # call.  Its memo entry holds the ids the expansion was built on, slots
-# first and then internal edges, with the trees.
+# first and then internal edges, with the subtrees.
 VertexType = tuple[int, tuple[int, ...], int, int]
-Template = tuple[tuple[int, ...], list[StarTree]]
+Template = tuple[tuple[int, ...], list[Subtree]]
 
 
-def _renamed(template: Template, slots: tuple[int, ...]) -> list[StarTree]:
-    """The template's trees on new slot ids and fresh internal edge ids.
+def _renamed(template: Template, slots: tuple[int, ...]) -> list[Subtree]:
+    """The template's subtrees on new slot ids and fresh internal edge ids.
 
     Slot ids ascend and every fresh id exceeds them, as in the template,
     so the renaming keeps the order of ids and each polynomial keeps its
@@ -425,20 +430,20 @@ def _renamed(template: Template, slots: tuple[int, ...]) -> list[StarTree]:
     factors: dict[int, MultiPoly] = {}
     blocks: dict[int, Block] = {}
     out = []
-    for t in trees:
+    for t_factors, t_blocks, ident in trees:
         fs = []
-        for f in t.factors:
+        for f in t_factors:
             new = factors.get(id(f))
             if new is None:
                 new = factors[id(f)] = poly(f)
             fs.append(new)
         dom = []
-        for blk in t.domain.blocks:
+        for blk in t_blocks:
             new = blocks.get(id(blk))
             if new is None:
                 new = blocks[id(blk)] = Block(tuple(ids[v] for v in blk.vars), poly(blk.level))
             dom.append(new)
-        out.append(StarTree(tuple(fs), CascadePolytope(tuple(dom)), t.ident))
+        out.append((tuple(fs), tuple(dom), ident))
     return out
 
 
@@ -448,7 +453,7 @@ def _expand_graph(
     convention: ConventionFlags,
     policy: str,
     memo: dict[VertexType, Template],
-) -> list[StarTree]:
+) -> list[Subtree]:
     # fresh twist variables, grouped per outer vertex
     edge_vars: list[tuple[int, ...]] = []
     for ov in graph.outer:
@@ -484,7 +489,7 @@ def _expand_graph(
         factor = factor * ((-wmap[graph.i0]) ** graph.j0)
 
     # expand children, each vertex type once; its slot ids ascend
-    child_lists: list[list[StarTree]] = []
+    child_lists: list[list[Subtree]] = []
     for ov, vars_j, (fixed, inherited) in zip(graph.outer, edge_vars, leg_ids):
         key = (ov.genus, fixed, len(inherited), ov.edges)
         slot_ids = inherited + vars_j
@@ -501,7 +506,7 @@ def _expand_graph(
             subtrees = []
             for sub in enumerate_star_graphs(ov.genus, child_markings, ci0):
                 subtrees.extend(_expand_graph(sub, child_wmap, convention, policy, memo))
-            inner = sorted({v for t in subtrees for blk in t.domain.blocks for v in blk.vars})
+            inner = sorted({v for _, bs, _ in subtrees for blk in bs for v in blk.vars})
             memo[key] = (slot_ids + tuple(inner), subtrees)
         if not subtrees:
             return []
@@ -520,17 +525,17 @@ def _expand_graph(
         return str(l) if isinstance(l, int) else f"e{edge_rank[l]}"
 
     node_ident = f"{graph.genus0}[" + ",".join(leg_str(l) for l in graph.legs0) + "]"
-    out: list[StarTree] = []
+    out: list[Subtree] = []
     for combo in itertools.product(*child_lists):
         factors = [factor]
         all_blocks = list(blocks)
         bits = []
-        for ov, child in zip(graph.outer, combo):
-            factors.extend(child.factors)
-            all_blocks.extend(child.domain.blocks)
-            bits.append(f"({ov.genus},{ov.edges})" + child.ident)
+        for ov, (child_factors, child_blocks, child_ident) in zip(graph.outer, combo):
+            factors.extend(child_factors)
+            all_blocks.extend(child_blocks)
+            bits.append(f"({ov.genus},{ov.edges})" + child_ident)
         ident = node_ident + ("" if not bits else "(" + " ".join(bits) + ")")
-        out.append(StarTree(tuple(factors), CascadePolytope(tuple(all_blocks)), ident))
+        out.append((tuple(factors), tuple(all_blocks), ident))
     return out
 
 
@@ -550,7 +555,10 @@ def flatten(
     wmap = {l: MultiPoly.const(w) for l, w in alpha.weight_map().items()}
     if graph.genus != alpha.genus or set(graph.markings) != set(alpha.labels()):
         raise ValueError("graph does not match the weight vector")
-    trees = _expand_graph(graph, wmap, convention, i0_policy, {})
+    trees = [
+        StarTree(factors, CascadePolytope(blocks), ident)
+        for factors, blocks, ident in _expand_graph(graph, wmap, convention, i0_policy, {})
+    ]
     for t in trees:
         # root domains must be closed; only subtree domains may be parametric
         if t.domain.external_vars:

@@ -8,13 +8,16 @@ variable of every block and integrate d(remaining coordinates).
 
 A zero-dimensional cascade (all blocks singletons) is a single forced
 point, valued by point_value in one forward pass over its blocks.  Any
-other cascade is parametrized to an inequality system over the free
-coordinates; integration enumerates its vertices exactly (with the value
-of every cascade variable there), fans a triangulation from the
-lexicographically smallest vertex, and pulls the integrand back to the
-standard simplex straight from the cascade variables: on a simplex chart
-every cascade variable is affine in t, with its vertex values as the
-affine data.  On the standard simplex monomials integrate in closed form:
+other cascade is parametrized to one integer row per cascade variable
+over the free coordinates, and the rows double as its inequality system.
+Everything from there on is integer: vertex enumeration gives each vertex
+as a primitive homogeneous tuple (den, numerators) with every row's
+value there, the triangulation fans vertex indices from the
+lexicographically smallest vertex, and each simplex pulls the integrand
+back to the standard simplex straight from the cascade variables: on a
+simplex chart every cascade variable is affine in t, with integer
+coefficients over the lcm of the vertex denominators.  On the standard
+simplex monomials integrate in closed form:
 
     int_{t_i >= 0, sum t <= 1} prod t_i^{m_i} dt = prod m_i! / (sum m_i + d)!
 """
@@ -30,8 +33,6 @@ from typing import Mapping, Sequence
 from .exact import MultiPoly, common_denominator, compose_affine, var_name
 
 DIM_BOUND = 8
-
-Point = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,30 +92,22 @@ class CascadePolytope:
         return sum(len(b.vars) - 1 for b in self.blocks)
 
 
+# A row (b, a, s) is the affine form (b + a.x) / s in the free coordinates
+# x, with integers b and a_j and s > 0; gcd(b, a, s) = 1 in parametrize.
+Row = tuple[int, tuple[int, ...], int]
+
+
 @dataclass(frozen=True)
 class ParamSystem:
     """Cascade rewritten over free coordinates.
 
-    subst maps every original variable to an affine expression in the free
-    ones; each expression must be positive on the domain, so the exprs
-    tuple doubles as the inequality system (expr > 0).
+    rows[i] gives cascade variable i, in dom.variables order, as a row in
+    the free coordinates.  Every variable must be positive on the domain,
+    so the rows double as the inequality system b + a.x >= 0 of its closure.
     """
 
     free: tuple[int, ...]
-    subst: dict[int, MultiPoly]
-    exprs: tuple[MultiPoly, ...]  # one per original variable, block by block
-
-
-# An affine map: free variable (None for the constant) -> nonzero coefficient.
-Affine = dict[int | None, Fraction]
-
-
-def _affine_poly(lin: Affine) -> MultiPoly:
-    """The polynomial of an affine map, its terms in the map's order."""
-    vs = tuple(sorted(v for v in lin if v is not None))
-    unit = {v: tuple(int(w == v) for w in vs) for v in vs}
-    unit[None] = (0,) * len(vs)
-    return MultiPoly(vs, {unit[v]: c for v, c in lin.items()}, _normalized=True)
+    rows: tuple[Row, ...]
 
 
 def _require_closed(dom: CascadePolytope) -> None:
@@ -127,37 +120,43 @@ def _require_closed(dom: CascadePolytope) -> None:
 def parametrize(dom: CascadePolytope) -> ParamSystem:
     """Eliminate the last variable of every block.
 
-    Each level is composed with the affine maps of the earlier blocks
-    directly, term by term, so every expression comes out with the terms
-    in the order a substitution would give them.
+    Each level is composed with the earlier blocks' rows over one integer
+    denominator, and the eliminated variable's row is reduced by the gcd
+    of its entries.
     """
     _require_closed(dom)
     free: list[int] = []
-    maps: dict[int, Affine] = {}
-    subst: dict[int, MultiPoly] = {}
-    exprs: list[MultiPoly] = []
+    # each variable's row, its a as a map over the free coordinates so far
+    maps: dict[int, tuple[int, dict[int, int], int]] = {}
     for blk in dom.blocks:
-        tail: Affine = {}
         level = blk.level
-        for exps, c in level.terms.items():
-            if 1 not in exps:
-                tail[None] = tail[None] + c if None in tail else c
-            elif c == -1:  # the usual edge term; negating skips a gcd
-                for v, a in maps[level.vars[exps.index(1)]].items():
-                    tail[v] = tail[v] - a if v in tail else -a
-            else:
-                for v, a in maps[level.vars[exps.index(1)]].items():
-                    tail[v] = tail[v] + c * a if v in tail else c * a
-        tail = {v: c for v, c in tail.items() if c}
+        parts = [
+            (c, maps[level.vars[exps.index(1)]] if 1 in exps else (1, {}, 1))
+            for exps, c in level.terms.items()
+        ]
+        s = math.lcm(*(c.denominator * t for c, (_, _, t) in parts))
+        b = 0
+        a: dict[int, int] = {}
+        for c, (rb, ra, t) in parts:
+            f = c.numerator * (s // (c.denominator * t))
+            b += f * rb
+            for v, x in ra.items():
+                a[v] = a.get(v, 0) + f * x
         for v in blk.vars[:-1]:
             free.append(v)
-            maps[v] = {v: Fraction(1)}
-            subst[v] = MultiPoly.variable(v)
-            tail[v] = Fraction(-1)
-        maps[blk.vars[-1]] = tail
-        subst[blk.vars[-1]] = _affine_poly(tail)
-        exprs.extend(subst[v] for v in blk.vars)
-    return ParamSystem(tuple(free), subst, tuple(exprs))
+            maps[v] = (0, {v: 1}, 1)
+            a[v] = -s
+        g = math.gcd(s, b, *a.values())
+        maps[blk.vars[-1]] = (b // g, {v: x // g for v, x in a.items() if x}, s // g)
+    pos = {v: j for j, v in enumerate(free)}
+    rows = []
+    for v in dom.variables:
+        b, a, s = maps[v]
+        vec = [0] * len(free)
+        for u, x in a.items():
+            vec[pos[u]] = x
+        rows.append((b, tuple(vec), s))
+    return ParamSystem(tuple(free), tuple(rows))
 
 
 # -- exact linear algebra -------------------------------------------------
@@ -207,15 +206,6 @@ def solve_square(rows: Sequence[Sequence[int]], rhs: Sequence[int]):
     return [r[n] for r in a], det
 
 
-def affine_dim(points: Sequence[Point]) -> int:
-    """Dimension of the affine hull; -1 for the empty set."""
-    if not points:
-        return -1
-    p0 = points[0]
-    rows = [common_denominator([x - y for x, y in zip(p, p0)])[0] for p in points[1:]]
-    return _bareiss(rows, len(p0))[0]
-
-
 # -- vertex enumeration ----------------------------------------------------
 
 
@@ -223,63 +213,39 @@ def affine_dim(points: Sequence[Point]) -> int:
 class VRepPolytope:
     """Vertices of a closed feasible set plus facet certificates.
 
-    tight[k] lists the inequality indices active at vertices[k], and
-    values[k] holds every inequality expression's value there; full_dim
-    says whether the affine hull of the vertices has the ambient dimension
-    (if not, the open feasible set is empty and integrals vanish).
+    vertices[k] is the point (num_1 / den, .., num_d / den) as the
+    primitive integer tuple (den, num_1, .., num_d) with den > 0, the
+    vertices in point order.  tight[k] lists the rows active there, and
+    row i = (b, a, s) takes the value values[k][i] / (den * s) there.
+    full_dim says whether the affine hull of the vertices has the ambient
+    dimension (if not, the open feasible set is empty and integrals vanish).
     """
 
     dim: int
-    vertices: tuple[Point, ...]
+    vertices: tuple[tuple[int, ...], ...]
     tight: tuple[frozenset[int], ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    values: tuple[tuple[int, ...], ...]
     full_dim: bool
 
 
-def _ineq_rows(
-    exprs: Sequence[MultiPoly], free: Sequence[int]
-) -> list[tuple[int, list[int], int]]:
-    """Rows (b, a, s) of b + a.x >= 0, each the expression times its positive lcm s.
-
-    A positive scale keeps every sign, so feasibility and tightness hold.
-    """
-    pos = {v: i for i, v in enumerate(free)}
-    rows = []
-    for e in exprs:
-        if not e.is_affine():
-            raise ValueError("inequality expressions must be affine")
-        b = Fraction(0)
-        a = [Fraction(0)] * len(free)
-        for exps, c in e.terms.items():
-            if sum(exps) == 0:
-                b = c
-            else:
-                i = exps.index(1)
-                vid = e.vars[i]
-                if vid not in pos:
-                    raise ValueError(f"inequality uses non-free variable {var_name(vid)}")
-                a[pos[vid]] = c
-        nums, scale = common_denominator([b] + a)
-        rows.append((nums[0], nums[1:], scale))
-    return rows
+def _rank(vertices: Sequence[tuple[int, ...]], ncols: int) -> int:
+    """Rank of homogeneous vertex tuples, one more than their affine hull's dimension."""
+    return _bareiss([list(v) for v in vertices], ncols)[0]
 
 
-def enumerate_vertices(
-    exprs: Sequence[MultiPoly], free: Sequence[int], dim_bound: int = DIM_BOUND
-) -> VRepPolytope:
-    """Vertices of {x : expr_i(x) >= 0 for all i} by exact basis enumeration.
+def enumerate_vertices(rows: Sequence[Row], free: Sequence[int]) -> VRepPolytope:
+    """Vertices of {x : b + a.x >= 0 for every row} by exact basis enumeration.
 
     Intended for small bounded systems (the cascade domains); dimensions
-    above dim_bound are refused, split the domain instead.
+    above DIM_BOUND are refused, split the domain instead.
     """
     d = len(free)
     if d == 0:
         raise ValueError("vertex enumeration needs at least one free coordinate")
-    if d > dim_bound:
+    if d > DIM_BOUND:
         raise ValueError(
-            f"dimension {d} exceeds bound {dim_bound}; decompose the domain first"
+            f"dimension {d} exceeds bound {DIM_BOUND}; decompose the domain first"
         )
-    rows = _ineq_rows(exprs, free)
     # a basis holding two parallel rows (such as x >= 0 and c - x >= 0) or a
     # zero row is singular, so a basis takes one row from each of d distinct
     # classes of parallel rows
@@ -289,9 +255,9 @@ def enumerate_vertices(
         if g:
             g = g if next(x for x in a if x) > 0 else -g
             classes.setdefault(tuple(x // g for x in a), []).append(i)
-    # keyed by the solution (num, den) reduced by its gcd, which is unique
-    # per point; the first basis at a point keeps its integer row values
-    found: dict[tuple[tuple[int, ...], int], tuple[set[int], int, list[int]]] = {}
+    # keyed by the primitive solution (den, num), which is unique per point;
+    # the first basis at a point keeps its row values, reduced to that den
+    found: dict[tuple[int, ...], tuple[set[int], list[int]]] = {}
     bases = itertools.chain.from_iterable(
         itertools.product(*group) for group in itertools.combinations(classes.values(), d)
     )
@@ -305,51 +271,39 @@ def enumerate_vertices(
             continue
         tight = {i for i, v in enumerate(vals) if v == 0}
         g = math.gcd(den, *num)
-        key = (tuple(x // g for x in num), den // g)
+        key = (den // g, *(x // g for x in num))
         prev = found.get(key)
         if prev is None:
-            found[key] = (tight, den, vals)
+            found[key] = (tight, [v // g for v in vals])
         else:
             prev[0].update(tight)
-    points = {key: tuple(Fraction(x, key[1]) for x in key[0]) for key in found}
-    order = sorted(found, key=points.__getitem__)
-    verts = tuple(points[key] for key in order)
-    entries = [found[key] for key in order]
-    full = len(verts) > 0 and affine_dim(verts) == d
-    # row i is s_i times its expression, so the value is vals[i] / (den * s_i)
+    verts = sorted(found, key=lambda v: [Fraction(x, v[0]) for x in v[1:]])
     return VRepPolytope(
         d,
-        verts,
-        tuple(frozenset(tight) for tight, _, _ in entries),
-        tuple(
-            tuple(Fraction(v, den * s) for v, (_, _, s) in zip(vals, rows))
-            for _, den, vals in entries
-        ),
-        full,
+        tuple(verts),
+        tuple(frozenset(found[v][0]) for v in verts),
+        tuple(tuple(found[v][1]) for v in verts),
+        len(verts) > 0 and _rank(verts, d + 1) == d + 1,
     )
 
 
 # -- triangulation ---------------------------------------------------------
 
 
-def triangulate(
-    vrep: VRepPolytope,
-    exprs: Sequence[MultiPoly],
-    free: Sequence[int],
-    apex_rule: str = "lex_min",
-) -> list[tuple[Point, ...]]:
+def triangulate(vrep: VRepPolytope, apex_rule: str = "lex_min") -> list[tuple[int, ...]]:
     """Fan triangulation from the lexicographically extreme vertex.
 
     Recursively cones the chosen apex over triangulations of the facets
-    that do not contain it.  Deterministic for a fixed apex_rule.
+    that do not contain it.  Each simplex is a tuple of indices into
+    vrep.vertices.  Deterministic for a fixed apex_rule.
     """
     if apex_rule not in ("lex_min", "lex_max"):
         raise ValueError("apex_rule must be lex_min or lex_max")
     if not vrep.full_dim:
         return []
-    verts = list(vrep.vertices)  # already sorted
-    tight_of = list(vrep.tight)
-    n_ineq = len(exprs)
+    verts = vrep.vertices
+    tight_of = vrep.tight
+    n_rows = len(vrep.values[0])
 
     def tri(idxs: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
         if len(idxs) == k + 1:
@@ -357,51 +311,51 @@ def triangulate(
         apex = idxs[0] if apex_rule == "lex_min" else idxs[-1]
         seen: set[tuple[int, ...]] = set()
         out: list[tuple[int, ...]] = []
-        for ineq in range(n_ineq):
-            sub = tuple(i for i in idxs if ineq in tight_of[i])
+        for row in range(n_rows):
+            sub = tuple(i for i in idxs if row in tight_of[i])
             if not sub or apex in sub or len(sub) == len(idxs) or sub in seen:
                 continue
             seen.add(sub)
-            if affine_dim([verts[i] for i in sub]) != k - 1:
+            if _rank([verts[i] for i in sub], vrep.dim + 1) != k:
                 continue
             for s in tri(sub, k - 1):
                 out.append(s + (apex,))
         return out
 
-    simplices = tri(tuple(range(len(verts))), vrep.dim)
-    return [tuple(verts[i] for i in s) for s in simplices]
+    return tri(tuple(range(len(verts))), vrep.dim)
 
 
 def integrate_over_simplex(
-    p: MultiPoly, simplex: Sequence[Mapping[int, Fraction]], free: Sequence[int]
+    p: MultiPoly, simplex: Sequence[tuple[int, Mapping[int, int]]], free: Sequence[int]
 ) -> Fraction:
     """Exact integral of p over a d-simplex in the free coordinates.
 
-    Each vertex maps every free variable and every variable of p to its
-    value there.  On the chart x = v0 + M t each variable v of p is affine,
-    v = val_0(v) + sum_j t_j (val_j(v) - val_0(v)), so p is pulled back by
-    one affine substitution and integrated with the Dirichlet monomial
-    formula on the standard simplex.  The free variables serve as the chart
+    Vertex j is (den_j, num_j): num_j maps every free variable and every
+    variable of p to its numerator over den_j there.  The chart
+    x = x_0 + M t has |det M| equal to the Bareiss pivot of the rows
+    (den_j, free numerators) over prod den_j.  On the chart each variable
+    v of p is affine, v = v_0 + sum_j t_j (v_j - v_0), with integer
+    coefficients over the lcm of the den_j, so p is pulled back by one
+    affine substitution and integrated with the Dirichlet monomial formula
+    on the standard simplex.  The free variables serve as the chart
     coordinates t.
     """
     d = len(free)
     if len(simplex) != d + 1:
         raise ValueError("simplex needs d+1 vertices")
-    v0 = simplex[0]
-    cols = [[v[f] - v0[f] for f in free] for v in simplex[1:]]
-    # det M = det of the integer-scaled columns / prod of their scales
-    scaled = [common_denominator(col) for col in cols]
-    rank, pivot = _bareiss([nums for nums, _ in scaled], d)
-    if rank < d:
+    rank, pivot = _bareiss([[den] + [num[f] for f in free] for den, num in simplex], d + 1)
+    if rank <= d:
         return Fraction(0)
-    det_den = math.prod(den for _, den in scaled)
+    dens = [den for den, _ in simplex]
+    lcm = math.lcm(*dens)
+    (k0, n0), *rest = [(lcm // den, num) for den, num in simplex]
     images = {}
     for vid in p.vars:
-        base = v0[vid]
-        lin: Affine = {t: v[vid] - base for t, v in zip(free, simplex[1:])}
+        base = k0 * n0[vid]
+        lin = {t: k * num[vid] - base for t, (k, num) in zip(free, rest)}
         lin[None] = base
-        images[vid] = _affine_poly({k: c for k, c in lin.items() if c})
-    q = compose_affine(p, images)
+        images[vid] = {t: c for t, c in lin.items() if c}
+    q = compose_affine(p, images, lcm)
     # sum c * prod m_i! / (|m| + d)! over the common denominator den * (D + d)!
     nums, den = common_denominator(list(q.terms.values()))
     top = math.factorial(q.total_degree() + d)
@@ -411,7 +365,7 @@ def integrate_over_simplex(
         for m in exps:
             w *= math.factorial(m)
         acc += w
-    return Fraction(abs(pivot) * acc, det_den * den * top)
+    return Fraction(abs(pivot) * acc, math.prod(dens) * den * top)
 
 
 def point_value(
@@ -448,35 +402,42 @@ def point_value(
     return out
 
 
-def integrate(p: MultiPoly, dom: CascadePolytope, apex_rule: str = "lex_min") -> Fraction:
+def integrate(p: MultiPoly, dom: CascadePolytope) -> Fraction:
     """Exact integral of p over the cascade, projection measure.
 
     A zero-dimensional domain (all blocks singletons) is valued by
     point_value: p at the forced point when every level is positive, 0
-    otherwise.  Otherwise the cascade is parametrized; a constant
-    expression <= 0 makes the domain empty before any vertex is
-    enumerated, and else p is pulled back onto each simplex of the
-    triangulation from the values of the cascade variables at its
-    vertices, with no expansion into the free chart.
+    otherwise.  Otherwise the cascade is parametrized; a constant row
+    <= 0 makes the domain empty before any vertex is enumerated, and else
+    p is pulled back onto each simplex of the triangulation from the
+    values of the cascade variables at its vertices, with no expansion
+    into the free chart.
     """
     _require_closed(dom)
-    allowed = set(dom.variables)
+    pos = {v: i for i, v in enumerate(dom.variables)}
     for vid in p.vars:
-        if vid not in allowed:
+        if vid not in pos:
             raise ValueError(f"integrand uses foreign variable {var_name(vid)}")
     if not dom.dimension():
         return point_value((p,), dom, {}, {})
     ps = parametrize(dom)
-    if any(not e.vars and e.constant_value() <= 0 for e in ps.exprs):
+    if any(b <= 0 and not any(a) for b, a, _ in ps.rows):
         return Fraction(0)
-    vrep = enumerate_vertices(ps.exprs, ps.free)
+    vrep = enumerate_vertices(ps.rows, ps.free)
     if not vrep.full_dim:
         return Fraction(0)
-    # ps.exprs holds one expression per cascade variable, in dom.variables order
-    at = {pt: dict(zip(dom.variables, vals)) for pt, vals in zip(vrep.vertices, vrep.values)}
+    # every vertex over den * scale, scale the lcm of the row scales of p's
+    # variables (a free variable's row has scale 1)
+    used = [(v, pos[v]) for v in dict.fromkeys(ps.free + p.vars)]
+    scale = math.lcm(*(ps.rows[i][2] for _, i in used))
+    lift = [(v, i, scale // ps.rows[i][2]) for v, i in used]
+    verts = [
+        (vert[0] * scale, {v: vals[i] * k for v, i, k in lift})
+        for vert, vals in zip(vrep.vertices, vrep.values)
+    ]
     total = Fraction(0)
-    for simplex in triangulate(vrep, ps.exprs, ps.free, apex_rule):
-        total += integrate_over_simplex(p, [at[pt] for pt in simplex], ps.free)
+    for simplex in triangulate(vrep):
+        total += integrate_over_simplex(p, [verts[k] for k in simplex], ps.free)
     return total
 
 
@@ -484,7 +445,8 @@ def lattice_sum(p: MultiPoly, dom: CascadePolytope, k: int) -> float:
     """Riemann sum of p over the 1/k lattice in the free chart, over k^d.
 
     Diagnostic companion to integrate: floats, strict interior points
-    (every eliminated expression must be positive at the lattice point).
+    (every row must be positive at the lattice point), where each cascade
+    variable is computed from its row and p is evaluated on those values.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -493,42 +455,42 @@ def lattice_sum(p: MultiPoly, dom: CascadePolytope, k: int) -> float:
         return float(point_value((p,), dom, {}, {}))
     ps = parametrize(dom)
     d = len(ps.free)
-    q = p.substitute({v: ps.subst[v] for v in p.vars})
     if d > 2:
         raise ValueError("lattice diagnostic limited to dimension <= 2")
-    vrep = enumerate_vertices(ps.exprs, ps.free)
+    vrep = enumerate_vertices(ps.rows, ps.free)
     if not vrep.full_dim:
         return 0.0
-    rows = _ineq_rows(ps.exprs, ps.free)
-    frows = [(float(b), [float(c) for c in a]) for b, a, _ in rows]
-    lo = [min(v[i] for v in vrep.vertices) for i in range(d)]
-    hi = [max(v[i] for v in vrep.vertices) for i in range(d)]
+    verts = vrep.vertices
     ranges = [
-        range(math.floor(lo[i] * k) - 1, math.ceil(hi[i] * k) + 2) for i in range(d)
+        range(
+            min(v[j] * k // v[0] for v in verts) - 1,
+            max(-(-v[j] * k // v[0]) for v in verts) + 2,
+        )
+        for j in range(1, d + 1)
     ]
-    qf = {exps: float(c) for exps, c in q.terms.items()}
-    qpos = {v: i for i, v in enumerate(ps.free)}
-    qidx = [qpos[v] for v in q.vars]
+    frows = [(float(b), [float(c) for c in a], float(s)) for b, a, s in ps.rows]
+    pos = {v: i for i, v in enumerate(dom.variables)}
+    pidx = [pos[v] for v in p.vars]
+    pf = [(exps, float(c)) for exps, c in p.terms.items()]
     total = 0.0
     eps = 1e-12
     for m in itertools.product(*ranges):
         x = [mi / k for mi in m]
-        ok = True
-        for b, a in frows:
-            s = b
+        vals = []
+        for b, a, s in frows:
+            y = b
             for c, xi in zip(a, x):
-                s += c * xi
-            if s <= eps:
-                ok = False
+                y += c * xi
+            if y <= eps:
                 break
-        if not ok:
-            continue
-        val = 0.0
-        for exps, c in qf.items():
-            term = c
-            for j, e in enumerate(exps):
-                if e:
-                    term *= x[qidx[j]] ** e
-            val += term
-        total += val
+            vals.append(y / s)
+        else:
+            val = 0.0
+            for exps, c in pf:
+                term = c
+                for i, e in zip(pidx, exps):
+                    if e:
+                        term *= vals[i] ** e
+                val += term
+            total += val
     return total / float(k**d)

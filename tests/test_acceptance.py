@@ -6,9 +6,13 @@ deterministic.  The golden file tests/golden/g2_scan.csv pins the genus-2
 slice byte for byte; regenerate it with
 `python3 -m flatvol.cli scan --g 2 --steps 40 --out tests/golden/g2_scan.csv`
 only when the engine's output format intentionally changes.
+tests/golden/validate.json pins `flatvol validate --format json` the same
+way; regenerate it with
+`python3 -m flatvol.cli validate --format json --out tests/golden/validate.json`.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -212,14 +216,16 @@ def test_criterion_07_polytope_engine():
     # additivity under random hyperplane splits of a simplex
     from flatvol.polytopes import enumerate_vertices, integrate_over_simplex, triangulate
 
-    def region(p, exprs, free, apex_rule="lex_min"):
-        vrep = enumerate_vertices(exprs, free, 8)
+    def region(p, rows, free, apex_rule="lex_min"):
+        # rows (b, a, s) stand for (b + a.x) / s >= 0
+        vrep = enumerate_vertices(rows, free)
         if not vrep.full_dim:
             return Fraction(0)
+        verts = [(den, dict(zip(free, num))) for den, *num in vrep.vertices]
         return sum(
             (
-                integrate_over_simplex(p, [dict(zip(free, v)) for v in s], free)
-                for s in triangulate(vrep, exprs, free, apex_rule)
+                integrate_over_simplex(p, [verts[k] for k in s], free)
+                for s in triangulate(vrep, apex_rule)
             ),
             Fraction(0),
         )
@@ -227,20 +233,23 @@ def test_criterion_07_polytope_engine():
     rng = random.Random(701)
     x, y = fresh_var("ac7x"), fresh_var("ac7y")
     px, py = MultiPoly.variable(x), MultiPoly.variable(y)
-    base = [px, py, MultiPoly.one() - px - py]
+    base = [(0, (1, 0), 1), (0, (0, 1), 1), (1, (-1, -1), 1)]
     p = px * px + py
     for _ in range(6):
-        cut = px * Fraction(rng.randint(-3, 3)) + py * Fraction(rng.randint(-3, 3)) \
-            - Fraction(rng.randint(-2, 2), rng.randint(2, 5))
-        if cut.is_constant():
+        # the cut a x + b y - c >= 0 over the denominator of c
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        c = Fraction(rng.randint(-2, 2), rng.randint(2, 5))
+        if not a and not b:
             continue
+        cut = (-c.numerator, (a * c.denominator, b * c.denominator), c.denominator)
+        flip = (c.numerator, (-a * c.denominator, -b * c.denominator), c.denominator)
         whole = region(p, base, (x, y))
-        parts = region(p, base + [cut], (x, y)) + region(p, base + [MultiPoly.zero() - cut], (x, y))
+        parts = region(p, base + [cut], (x, y)) + region(p, base + [flip], (x, y))
         assert parts == whole
 
-    # triangulation independence on an irregular quadrilateral
-    quad = [px, py, MultiPoly.const(Fraction(3, 2)) - px - py,
-            MultiPoly.one() - py + px * Fraction(1, 3)]
+    # triangulation independence on the irregular quadrilateral
+    # x, y, 3/2 - x - y, 1 - y + x/3 >= 0
+    quad = [(0, (1, 0), 1), (0, (0, 1), 1), (3, (-2, -2), 2), (3, (1, -3), 3)]
     q = px * py + px
     assert region(q, quad, (x, y), "lex_min") == region(q, quad, (x, y), "lex_max")
 
@@ -296,6 +305,9 @@ def test_criterion_10_validation_matrix(capsys):
     with capsys.disabled():
         print()
         print(report.render())
+    # the bytes cmd_validate writes for --format json
+    pinned = (GOLDEN / "validate.json").read_text(encoding="utf-8")
+    assert json.dumps(report.to_dict(), indent=2) + "\n" == pinned
     assert report.ok
     assert report.report_for(DEFAULT_CONVENTION).all_pass
     printed = report.report_for(ConventionFlags("printed", "printed"))

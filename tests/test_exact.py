@@ -182,14 +182,18 @@ def test_multipoly_substitute_missing_image():
 
 
 def test_compose_affine():
-    x, y, t = fresh_var("x"), fresh_var("y"), fresh_var("t")
+    x, y, t, u = fresh_var("x"), fresh_var("y"), fresh_var("t"), fresh_var("u")
     p = MultiPoly.variable(x) * MultiPoly.variable(y)
-    ximg = MultiPoly.affine(Fraction(1), {t: Fraction(2)})
-    yimg = MultiPoly.affine(Fraction(3), {t: Fraction(-1)})
-    out = compose_affine(p, {x: ximg, y: yimg})
+    # x = 1 + 2t and y = 3 - t, both over the denominator 1
+    out = compose_affine(p, {x: {None: 1, t: 2}, y: {t: -1, None: 3}}, 1)
     assert out.evaluate({t: Fraction(1, 2)}) == Fraction(2) * Fraction(5, 2)
-    with pytest.raises(ValueError):
-        compose_affine(p, {x: p, y: yimg})
+    # images over a shared denominator agree with the general substitution
+    p = p * Fraction(3, 4) + MultiPoly.variable(x) ** 2 - Fraction(1, 5)
+    images = {x: {None: 3, t: -6, u: 4}, y: {u: 5}}
+    polys = {v: MultiPoly.affine(Fraction(img.get(None, 0), 6),
+                                 {w: Fraction(c, 6) for w, c in img.items() if w is not None})
+             for v, img in images.items()}
+    assert compose_affine(p, images, 6) == p.substitute(polys)
 
 
 def _series(order, sparse):

@@ -1,13 +1,15 @@
 """Tests for cascade domains, vertex enumeration, and exact integration."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from flatvol import polytopes
-from flatvol.exact import MultiPoly, fresh_var
+from flatvol.exact import MultiPoly, common_denominator, fresh_var
 from flatvol.polytopes import (
+    DIM_BOUND,
     Block,
     CascadePolytope,
     enumerate_vertices,
@@ -23,6 +25,12 @@ from flatvol.polytopes import (
 def _simplex_dom(nvars, level, prefix="s"):
     vs = tuple(fresh_var(f"{prefix}{i}") for i in range(nvars))
     return vs, CascadePolytope((Block(vs, MultiPoly.const(Fraction(level))),))
+
+
+def _row(const, *coeffs):
+    """The row (b, a, s) of const + sum coeffs[j] * x_j, over its common denominator."""
+    nums, s = common_denominator([Fraction(const), *map(Fraction, coeffs)])
+    return nums[0], tuple(nums[1:]), s
 
 
 def test_block_validation():
@@ -72,7 +80,7 @@ def test_simplex_measure_and_moment():
     # the triangle (0,0), (0,2/5), (1/3,0) listed with negative orientation
     x, y = fresh_var("mx"), fresh_var("my")
     z = Fraction(0)
-    tri = [dict(zip((x, y), v)) for v in [(z, z), (z, Fraction(2, 5)), (Fraction(1, 3), z)]]
+    tri = [(1, {x: 0, y: 0}), (5, {x: 0, y: 2}), (3, {x: 1, y: 0})]
     assert integrate_over_simplex(MultiPoly.one(), tri, (x, y)) == Fraction(1, 15)
     assert integrate_over_simplex(MultiPoly.variable(x), tri, (x, y)) == Fraction(1, 135)
 
@@ -82,7 +90,7 @@ def test_simplex_measure_and_moment():
     cols = [(Fraction(1, 2), Fraction(1), z), (z, Fraction(-1, 3), Fraction(2)),
             (Fraction(1, 5), Fraction(3), Fraction(-3, 7))]
     pts = [v0] + [tuple(a + b for a, b in zip(v0, col)) for col in cols]
-    simplex = [dict(zip(free, v)) for v in pts]
+    simplex = [(den, dict(zip(free, nums))) for nums, den in map(common_denominator, pts)]
     (a, b, c), (d, e, f), (g, h, i) = cols
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     assert integrate_over_simplex(MultiPoly.one(), simplex, free) == abs(det) / 6
@@ -138,11 +146,11 @@ def _assert_same_system(dom):
     ps = parametrize(dom)
     free, subst, exprs = _substitution_parametrize(dom)
     assert ps.free == free
-    assert ps.subst == subst
-    assert ps.exprs == exprs
-    # the term order feeds the float lattice sums, so it must match too
-    for got, want in zip(ps.exprs, exprs):
-        assert list(got.terms.items()) == list(want.terms.items())
+    assert len(ps.rows) == len(exprs)
+    for v, (b, a, s) in zip(dom.variables, ps.rows):
+        assert s > 0 and math.gcd(b, *a, s) == 1
+        got = MultiPoly.affine(Fraction(b, s), {f: Fraction(c, s) for f, c in zip(free, a)})
+        assert got == subst[v]
     return ps
 
 
@@ -159,10 +167,8 @@ def test_parametrize_matches_substitution():
     ))
     ps = _assert_same_system(dom)
     assert ps.free == (a, d, c, f)
-    want = MultiPoly.affine(
-        Fraction(67, 28), {c: Fraction(3, 7), d: Fraction(8, 35), f: Fraction(-1)}
-    )
-    assert ps.subst[h] == want
+    # h = 67/28 + 8/35 d + 3/7 c - f
+    assert ps.rows[dom.variables.index(h)] == (335, (0, 32, 60, -140), 140)
 
     # every block a singleton: no free coordinates, constant expressions,
     # one of them zero
@@ -175,8 +181,7 @@ def test_parametrize_matches_substitution():
     ))
     ps = _assert_same_system(dom)
     assert ps.free == ()
-    assert [x.constant_value() for x in ps.exprs] == [Fraction(3, 2), Fraction(1, 2), 0]
-    assert ps.exprs[2].vars == () and ps.exprs[2].terms == {}
+    assert ps.rows == ((3, (), 2), (1, (), 2), (0, (), 1))
 
 
 def test_two_block_cascade():
@@ -250,36 +255,51 @@ def test_integrate_rejects_foreign_variables():
         integrate(MultiPoly.variable(stranger), dom)
 
 
+_SQUARE = [(0, (1, 0), 1), (0, (0, 1), 1), (1, (-1, 0), 1), (1, (0, -1), 1)]
+# the irregular quadrilateral x, y, 3/2 - x - y, 1 - y + x/3 >= 0
+_QUAD = [(0, (1, 0), 1), (0, (0, 1), 1), (3, (-2, -2), 2), (3, (1, -3), 3)]
+
+
+def _assert_vertex_table(rows, vrep):
+    """Each vertex is primitive with den > 0, in point order, and row i at
+    vertex k equals values[k][i] / (den_k * s_i)."""
+    points = []
+    for (den, *num), vals in zip(vrep.vertices, vrep.values):
+        assert den > 0 and math.gcd(den, *num) == 1
+        x = [Fraction(n, den) for n in num]
+        points.append(tuple(x))
+        assert len(vals) == len(rows)
+        for (b, a, s), v in zip(rows, vals):
+            assert Fraction(v, den * s) == (b + sum(c * xi for c, xi in zip(a, x))) / s
+    assert points == sorted(set(points))
+
+
 def test_vertex_enumeration_square():
     x, y = fresh_var("qx"), fresh_var("qy")
     free = (x, y)
-    px, py = MultiPoly.variable(x), MultiPoly.variable(y)
-    exprs = [px, py, MultiPoly.one() - px, MultiPoly.one() - py]
-    vrep = enumerate_vertices(exprs, free, 8)
+    vrep = enumerate_vertices(_SQUARE, free)
     assert vrep.full_dim
-    pts = {tuple(v) for v in vrep.vertices}
-    z, o = Fraction(0), Fraction(1)
-    assert pts == {(z, z), (z, o), (o, z), (o, o)}
+    assert set(vrep.vertices) == {(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)}
+    _assert_vertex_table(_SQUARE, vrep)
 
-    # the irregular quadrilateral of test_triangulation_apex_independence:
-    # rational rows, and a vertex cut out by two slanted facets
-    quad = [px, py, MultiPoly.const(Fraction(3, 2)) - px - py,
-            MultiPoly.one() - py + px * Fraction(1, 3)]
-    tight = {(z, z): {0, 1}, (Fraction(3, 2), z): {1, 2}, (z, o): {0, 3},
-             (Fraction(3, 8), Fraction(9, 8)): {2, 3}}
+    # the quadrilateral of test_triangulation_apex_independence: rows of
+    # scale 2 and 3, and a vertex cut out by two slanted facets
+    tight = {(1, 0, 0): {0, 1}, (2, 3, 0): {1, 2}, (1, 0, 1): {0, 3}, (8, 3, 9): {2, 3}}
     # the second order makes the first basis (y, x), whose determinant is -1
     for order in ((0, 1, 2, 3), (1, 0, 3, 2)):
-        vrep = enumerate_vertices([quad[i] for i in order], free, 8)
+        rows = [_QUAD[i] for i in order]
+        vrep = enumerate_vertices(rows, free)
         assert vrep.full_dim
         got = {v: {order[i] for i in t} for v, t in zip(vrep.vertices, vrep.tight)}
         assert got == tight
+        _assert_vertex_table(rows, vrep)
 
     # the segment x = 0, 0 <= y <= 1: feasible but not full-dimensional
-    seg = [px, MultiPoly.zero() - px, py, MultiPoly.one() - py]
-    vrep = enumerate_vertices(seg, free, 8)
+    seg = [(0, (1, 0), 1), (0, (-1, 0), 1), (0, (0, 1), 1), (1, (0, -1), 1)]
+    vrep = enumerate_vertices(seg, free)
     assert vrep.full_dim is False
-    assert set(vrep.vertices) == {(z, z), (z, o)}
-    assert triangulate(vrep, seg, free) == []
+    assert set(vrep.vertices) == {(1, 0, 0), (1, 0, 1)}
+    assert triangulate(vrep) == []
 
 
 def test_vertex_enumeration_skips_parallel_bases(monkeypatch):
@@ -293,31 +313,36 @@ def test_vertex_enumeration_skips_parallel_bases(monkeypatch):
 
     monkeypatch.setattr(polytopes, "solve_square", counting)
     x, y = fresh_var("px"), fresh_var("py")
-    px, py = MultiPoly.variable(x), MultiPoly.variable(y)
-    vrep = enumerate_vertices([px, py, MultiPoly.one() - px, MultiPoly.one() - py], (x, y), 8)
+    vrep = enumerate_vertices(_SQUARE, (x, y))
     assert len(solved) == 4
     assert all(solve_square(rows, (0, 0)) is not None for rows in solved)
-    z, o = Fraction(0), Fraction(1)
-    assert set(vrep.vertices) == {(z, z), (z, o), (o, z), (o, o)}
+    assert set(vrep.vertices) == {(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)}
     assert vrep.tight == (frozenset({0, 1}), frozenset({0, 3}), frozenset({1, 2}), frozenset({2, 3}))
 
 
-def test_vertex_enumeration_dim_bound():
-    vs = [fresh_var(f"db{i}") for i in range(4)]
-    exprs = [MultiPoly.variable(v) for v in vs]
-    exprs.append(MultiPoly.one() - sum(
-        (MultiPoly.variable(v) for v in vs), MultiPoly.zero()))
-    with pytest.raises(ValueError):
-        enumerate_vertices(exprs, vs, 3)
+def test_vertex_enumeration_dim_bound(monkeypatch):
+    # the standard simplex one dimension above the bound is refused before
+    # any basis is solved
+    def refuse(*args):
+        raise AssertionError("basis solved above the dimension bound")
+
+    monkeypatch.setattr(polytopes, "solve_square", refuse)
+    d = DIM_BOUND + 1
+    vs = [fresh_var(f"db{i}") for i in range(d)]
+    rows = [(0, tuple(int(i == j) for j in range(d)), 1) for i in range(d)]
+    rows.append((1, (-1,) * d, 1))
+    with pytest.raises(ValueError, match="exceeds bound"):
+        enumerate_vertices(rows, vs)
 
 
-def _region_integral(p, exprs, free, apex_rule="lex_min"):
-    vrep = enumerate_vertices(exprs, free, 8)
+def _region_integral(p, rows, free, apex_rule="lex_min"):
+    vrep = enumerate_vertices(rows, free)
     if not vrep.full_dim:
         return Fraction(0)
+    verts = [(den, dict(zip(free, num))) for den, *num in vrep.vertices]
     total = Fraction(0)
-    for simplex in triangulate(vrep, exprs, free, apex_rule=apex_rule):
-        total += integrate_over_simplex(p, [dict(zip(free, v)) for v in simplex], free)
+    for simplex in triangulate(vrep, apex_rule):
+        total += integrate_over_simplex(p, [verts[k] for k in simplex], free)
     return total
 
 
@@ -354,11 +379,19 @@ def test_integrate_matches_free_chart_pullback():
                 term = term * MultiPoly.variable(rng.choice(heads + list(dom.variables)))
             p = p + term
         ps = parametrize(dom)
-        q = p.substitute({v: ps.subst[v] for v in p.vars})
-        want = _region_integral(q, ps.exprs, ps.free)
+        _, subst, _ = _substitution_parametrize(dom)
+        q = p.substitute({v: subst[v] for v in p.vars})
+        want = _region_integral(q, ps.rows, ps.free)
         assert integrate(p, dom) == want, trial
         nonzero += want != 0
     assert nonzero >= 30
+
+
+def test_vertex_table_on_random_cascades():
+    rng = random.Random(59)
+    for trial in range(20):
+        ps = parametrize(_random_cascade(rng, f"vt{trial}_"))
+        _assert_vertex_table(ps.rows, enumerate_vertices(ps.rows, ps.free))
 
 
 def test_hyperplane_split_additivity():
@@ -366,18 +399,17 @@ def test_hyperplane_split_additivity():
     x, y = fresh_var("hx"), fresh_var("hy")
     free = (x, y)
     px, py = MultiPoly.variable(x), MultiPoly.variable(y)
-    simplex = [px, py, MultiPoly.one() - px - py]
+    simplex = [(0, (1, 0), 1), (0, (0, 1), 1), (1, (-1, -1), 1)]
     for trial in range(8):
         a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         b = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         c = Fraction(rng.randint(-2, 2), rng.randint(2, 5))
-        cut = px * a + py * b - c
-        if cut.is_constant():
+        if not a and not b:
             continue
         p = px * px + py * Fraction(3, 2)
         whole = _region_integral(p, simplex, free)
-        left = _region_integral(p, simplex + [cut], free)
-        right = _region_integral(p, simplex + [MultiPoly.zero() - cut], free)
+        left = _region_integral(p, simplex + [_row(-c, a, b)], free)
+        right = _region_integral(p, simplex + [_row(c, -a, -b)], free)
         assert left + right == whole, (a, b, c)
 
 
@@ -385,20 +417,10 @@ def test_triangulation_apex_independence():
     x, y = fresh_var("tx"), fresh_var("ty")
     free = (x, y)
     px, py = MultiPoly.variable(x), MultiPoly.variable(y)
-    # an irregular quadrilateral
-    exprs = [px, py, MultiPoly.const(Fraction(3, 2)) - px - py,
-             MultiPoly.one() - py + px * Fraction(1, 3)]
     p = px * py + px
-    a = _region_integral(p, exprs, free, "lex_min")
-    b = _region_integral(p, exprs, free, "lex_max")
+    a = _region_integral(p, _QUAD, free, "lex_min")
+    b = _region_integral(p, _QUAD, free, "lex_max")
     assert a == b
-
-
-def test_integrate_apex_rule_agreement():
-    w = tuple(fresh_var(f"ar{i}") for i in range(3))
-    dom = CascadePolytope((Block(w, MultiPoly.const(Fraction(4, 3))),))
-    p = MultiPoly.variable(w[0]) * MultiPoly.variable(w[1])
-    assert integrate(p, dom, apex_rule="lex_min") == integrate(p, dom, apex_rule="lex_max")
 
 
 def test_lattice_sum_converges():
