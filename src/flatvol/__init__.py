@@ -44,7 +44,7 @@ from .recursion import (
     RiemannRow,
     ScanRow,
     evaluate,
-    genus0_n4_oracle,
+    genus0_oracle,
     riemann_diagnostic,
     scan,
     volhat,
@@ -83,7 +83,7 @@ __all__ = [
     "flatten",
     "format_rational",
     "fresh_var",
-    "genus0_n4_oracle",
+    "genus0_oracle",
     "integrate",
     "kernel_A",
     "lattice_sum",

@@ -2,11 +2,12 @@
 
 Everything downstream of this module is exact.  Rationals are
 ``fractions.Fraction`` (always in lowest terms, positive denominator).
-Polynomials are sparse maps from exponent tuples to nonzero rational
-coefficients; the tuple positions refer to an ordered list of integer
-variable ids carried by each polynomial.  Truncated power series in one
-formal variable z have Fraction coefficients, keep a fixed order N and
-never consult coefficients beyond it.
+Polynomials are sparse maps from exponent tuples to nonzero integer
+numerators over one shared denominator, as in FLINT's fmpq_mpoly, so their
+arithmetic runs on integers; the tuple positions refer to an ordered list
+of integer variable ids carried by each polynomial.  Truncated power
+series in one formal variable z have Fraction coefficients, keep a fixed
+order N and never consult coefficients beyond it.
 """
 
 from __future__ import annotations
@@ -73,31 +74,32 @@ PolyLike = Union["MultiPoly", Fraction, int]
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with rational coefficients.
 
     vars is a strictly increasing tuple of variable ids, terms maps
-    exponent tuples (aligned with vars) to nonzero coefficients.
+    exponent tuples (aligned with vars) to nonzero int numerators over the
+    shared denominator den > 0, with gcd(den, *terms.values()) == 1.
     Variables with exponent 0 in every term are dropped, so equal
-    polynomials compare equal regardless of construction path.
-    Instances are treated as immutable.
+    polynomials compare and hash equal regardless of construction path;
+    zero is vars == (), terms == {}, den == 1.  The constructor takes
+    rational coefficients.  Instances are treated as immutable.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "den")
 
-    def __init__(
-        self,
-        vars: Sequence[int] = (),
-        terms: Mapping[tuple[int, ...], Fraction] | None = None,
-        *,
-        _normalized: bool = False,
-    ) -> None:
-        vt = tuple(vars)
-        if _normalized:  # kept, not copied: no instance mutates its terms
-            tm = terms if terms is not None else {}
-        else:
-            vt, tm = _normalize(vt, terms or {})
-        object.__setattr__(self, "vars", vt)
-        object.__setattr__(self, "terms", tm)
+    def __new__(cls, vars: Sequence[int] = (), terms: Mapping | None = None) -> MultiPoly:
+        terms = terms or {}
+        nums, den = common_denominator(list(terms.values()))
+        return MultiPoly._make(*_normalize(tuple(vars), dict(zip(terms, nums)), den))
+
+    @staticmethod
+    def _make(vars: tuple[int, ...], terms: dict[tuple[int, ...], int], den: int) -> MultiPoly:
+        """A polynomial from parts already in normal form, kept, not copied."""
+        p = object.__new__(MultiPoly)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "den", den)
+        return p
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiPoly is immutable")
@@ -106,14 +108,14 @@ class MultiPoly:
 
     @staticmethod
     def zero() -> MultiPoly:
-        return MultiPoly((), {}, _normalized=True)
+        return MultiPoly._make((), {}, 1)
 
     @staticmethod
     def const(c: Fraction | int) -> MultiPoly:
         c = Fraction(c)
         if c == 0:
             return MultiPoly.zero()
-        return MultiPoly((), {(): c}, _normalized=True)
+        return MultiPoly._make((), {(): c.numerator}, c.denominator)
 
     @staticmethod
     def one() -> MultiPoly:
@@ -121,7 +123,7 @@ class MultiPoly:
 
     @staticmethod
     def variable(vid: int) -> MultiPoly:
-        return MultiPoly((vid,), {(1,): Fraction(1)}, _normalized=True)
+        return MultiPoly._make((vid,), {(1,): 1}, 1)
 
     @staticmethod
     def affine(constant: Fraction | int, linear: Mapping[int, Fraction | int]) -> MultiPoly:
@@ -149,7 +151,7 @@ class MultiPoly:
     def constant_value(self) -> Fraction:
         if self.vars:
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0), self.den)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -170,19 +172,22 @@ class MultiPoly:
     def __add__(self, other: PolyLike) -> MultiPoly:
         other = MultiPoly.coerce(other)
         vs, sa, sb = _align(self, other)
-        out = dict(sa)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {e: c * fa for e, c in sa.items()}
+        get = out.get
         for e, c in sb.items():
-            s = out.get(e, Fraction(0)) + c
+            s = get(e, 0) + c * fb
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return MultiPoly(vs, out)
+        return MultiPoly._make(*_normalize(vs, out, den))
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()}, _normalized=True)
+        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: PolyLike) -> MultiPoly:
         return self + (-MultiPoly.coerce(other))
@@ -191,73 +196,70 @@ class MultiPoly:
         return MultiPoly.coerce(other) + (-self)
 
     def __mul__(self, other: PolyLike) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return MultiPoly.zero()
-            return MultiPoly(
-                self.vars, {e: k * c for e, k in self.terms.items()}, _normalized=True
-            )
-        # a constant factor only scales, keeping the other factor's term order
-        if not other.vars:
-            return self * other.constant_value()
-        if not self.vars:
-            return other * self.constant_value()
-        # _align gives sorted distinct vars, and over Q a product of nonzero
-        # polynomials keeps every variable, so only a zero product renormalizes
-        vs, sa, sb = _align(self, other)
-        out = _mul_terms(sa, sb)
-        return MultiPoly(vs if out else (), out, _normalized=True)
+        other = MultiPoly.coerce(other)
+        if self.vars and other.vars:
+            # _align gives sorted distinct vars, and a product of nonzero
+            # integer polynomials keeps every variable: only the gcd remains
+            vs, sa, sb = _align(self, other)
+            return MultiPoly._make(vs, *_lowest(_mul_terms(sa, sb), self.den * other.den))
+        # a constant factor c only scales, keeping the other factor's term order
+        p, c = (other, self) if other.vars else (self, other)
+        if not c.terms:
+            return MultiPoly.zero()
+        (k,) = c.terms.values()
+        out = {e: x * k for e, x in p.terms.items()}
+        return MultiPoly._make(p.vars, *_lowest(out, p.den * c.den))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> MultiPoly:
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = MultiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if not n:
+            return MultiPoly.one()
+        # gcd(den, numerators) == 1 carries over to the n-th powers
+        return MultiPoly._make(
+            self.vars, _int_pow(self.terms, n, (0,) * len(self.vars)), self.den**n
+        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(Fraction(other))
+            other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.terms.items())))
 
     # -- substitution -----------------------------------------------------
 
     def evaluate(self, assign: Mapping[int, Fraction]) -> Fraction:
         """Evaluate at a full rational point; every variable needs a value."""
-        total = Fraction(0)
         vals = []
         for vid in self.vars:
             if vid not in assign:
                 raise ValueError(f"no value for variable {var_name(vid)}")
-            vals.append(Fraction(assign[vid]))
+            vals.append(assign[vid])
+        # the point over one denominator q, each term lifted to the top degree
+        q = math.lcm(*(x.denominator for x in vals))
+        xs = [x.numerator * (q // x.denominator) for x in vals]
+        top = self.total_degree()
+        total = 0
         for e, c in self.terms.items():
-            m = c
-            for x, k in zip(vals, e):
+            m = c * q ** (top - sum(e))
+            for x, k in zip(xs, e):
                 if k:
                     m *= x**k
             total += m
-        return total
+        return Fraction(total, self.den * q**top)
 
     def substitute(self, images: Mapping[int, PolyLike]) -> MultiPoly:
         """Replace every variable by its image polynomial and expand.
 
         Every variable of self must have an image; a missing one is an
         error rather than an identity substitution.  The expansion runs on
-        integer numerators (see _expand), each image brought to one
-        denominator.
+        integer numerators (see _expand).
         """
         imgs: list[MultiPoly] = []
         for vid in self.vars:
@@ -265,14 +267,7 @@ class MultiPoly:
                 raise ValueError(f"no image for variable {var_name(vid)}")
             imgs.append(MultiPoly.coerce(images[vid]))
         vs = tuple(sorted({v for img in imgs for v in img.vars}))
-        nums: list[dict[tuple[int, ...], int]] = []
-        dens: list[int] = []
-        for img in imgs:
-            terms = _rekey(img, vs)
-            num, den = common_denominator(list(terms.values()))
-            nums.append(dict(zip(terms, num)))
-            dens.append(den)
-        return _expand(self, vs, nums, dens)
+        return _expand(self, vs, [_rekey(img, vs) for img in imgs], [img.den for img in imgs])
 
     # -- display ----------------------------------------------------------
 
@@ -281,7 +276,7 @@ class MultiPoly:
             return "0"
         bits = []
         for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            c = self.terms[e]
+            c = Fraction(self.terms[e], self.den)
             factors = []
             for vid, k in zip(self.vars, e):
                 if k == 1:
@@ -299,12 +294,21 @@ class MultiPoly:
         return " + ".join(bits).replace("+ -", "- ")
 
 
+def _lowest(terms: dict[tuple[int, ...], int], den: int) -> tuple[dict, int]:
+    """terms and den divided by gcd(den, *terms.values()); den > 0."""
+    g = math.gcd(den, *terms.values()) if den != 1 else 1
+    if g == 1:
+        return terms, den
+    return {e: c // g for e, c in terms.items()}, den // g
+
+
 def _normalize(
-    vars: tuple[int, ...], terms: Mapping[tuple[int, ...], Fraction]
-) -> tuple[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
-    terms = {e: c if isinstance(c, Fraction) else Fraction(c) for e, c in terms.items() if c}
+    vars: tuple[int, ...], terms: Mapping[tuple[int, ...], int], den: int
+) -> tuple[tuple[int, ...], dict[tuple[int, ...], int], int]:
+    """Normal form of integer numerators over den > 0 (see MultiPoly)."""
+    terms = {e: c for e, c in terms.items() if c}
     if not terms:
-        return (), {}
+        return (), {}, 1
     if any(len(e) != len(vars) for e in terms):
         raise ValueError("exponent tuple length does not match variable count")
     used = [i for i in range(len(vars)) if any(e[i] for e in terms)]
@@ -317,7 +321,7 @@ def _normalize(
             raise ValueError("duplicate variable id")
         vars = tuple(vars[i] for i in order)
         terms = {tuple(e[i] for i in order): c for e, c in terms.items()}
-    return vars, terms
+    return (vars, *_lowest(terms, den))
 
 
 def _align(a: MultiPoly, b: MultiPoly):
@@ -328,9 +332,9 @@ def _align(a: MultiPoly, b: MultiPoly):
     return vs, _rekey(a, vs), _rekey(b, vs)
 
 
-def _rekey(p: MultiPoly, vs: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+def _rekey(p: MultiPoly, vs: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     pos = {v: i for i, v in enumerate(vs)}
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     for e, c in p.terms.items():
         ne = [0] * len(vs)
         for v, k in zip(p.vars, e):
@@ -340,13 +344,10 @@ def _rekey(p: MultiPoly, vs: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]
 
 
 def _mul_terms(
-    sa: Mapping[tuple[int, ...], Fraction | int], sb: Mapping[tuple[int, ...], Fraction | int]
-) -> dict[tuple[int, ...], Fraction | int]:
-    """Product of two term dicts keyed over the same variable tuple.
-
-    Coefficients are all ints or all Fractions; the result keeps their type.
-    """
-    out: dict[tuple[int, ...], Fraction | int] = {}
+    sa: Mapping[tuple[int, ...], int], sb: Mapping[tuple[int, ...], int]
+) -> dict[tuple[int, ...], int]:
+    """Product of two integer term dicts keyed over the same variable tuple."""
+    out: dict[tuple[int, ...], int] = {}
     get = out.get
     for ea, ca in sa.items():
         for eb, cb in sb.items():
@@ -362,10 +363,10 @@ def _mul_terms(
 def _int_pow(
     base: dict[tuple[int, ...], int], n: int, one: tuple[int, ...]
 ) -> dict[tuple[int, ...], int]:
-    """n-th power of an integer term dict.
+    """n-th power of an integer term dict, by repeated squaring.
 
-    Squares in the same order as MultiPoly.__pow__, so the terms come out
-    in the same order as a Fraction expansion would give them.
+    MultiPoly.__pow__ and _expand share it, so both give a power's terms
+    in the same order.
     """
     result = {one: 1}
     while n:
@@ -385,22 +386,18 @@ def _expand(
     """p with its i-th variable replaced by nums[i] / dens[i], expanded.
 
     nums[i] is an integer term dict keyed over vs.  A term
-    c * prod img_i^k_i is (c / prod den_i^k_i) * prod num_i^k_i, and the
-    weights c / prod den_i^k_i are brought to one denominator, so the
-    products run on integers.
+    (c / p.den) * prod img_i^k_i is c * prod num_i^k_i over
+    p.den * prod dens[i]^k_i; each term's weight c is scaled to the lcm L
+    of the prod dens[i]^k_i, so the products and the sum run on integers
+    over p.den * L, reduced once at the end.
     """
     one = (0,) * len(vs)
-    weights = []
-    for e, c in p.terms.items():
-        d = c.denominator
-        for den, k in zip(dens, e):
-            d *= den**k
-        weights.append(Fraction(c.numerator, d))
-    scaled, common = common_denominator(weights)
+    scales = [math.prod(den**k for den, k in zip(dens, e)) for e in p.terms]
+    common = math.lcm(*scales)
     powers: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
     out: dict[tuple[int, ...], int] = {}
-    for e, w in zip(p.terms, scaled):
-        m = {one: w}
+    for (e, c), s in zip(p.terms.items(), scales):
+        m = {one: c * (common // s)}
         for i, k in enumerate(e):
             if not k:
                 continue
@@ -410,7 +407,7 @@ def _expand(
             m = _mul_terms(m, powers[key])
         for me, mc in m.items():
             out[me] = out.get(me, 0) + mc
-    return MultiPoly(vs, {e: Fraction(n, common) for e, n in out.items() if n})
+    return MultiPoly._make(*_normalize(vs, out, p.den * common))
 
 
 def compose_affine(

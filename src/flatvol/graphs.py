@@ -424,7 +424,7 @@ def _renamed(template: Template, slots: tuple[int, ...]) -> list[Subtree]:
     def poly(p: MultiPoly) -> MultiPoly:
         if not p.vars:
             return p
-        return MultiPoly(tuple(ids[v] for v in p.vars), p.terms, _normalized=True)
+        return MultiPoly._make(tuple(ids[v] for v in p.vars), p.terms, p.den)
 
     # trees share factors and blocks; rename each once
     factors: dict[int, MultiPoly] = {}

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact import MultiPoly, common_denominator, compose_affine, var_name
+from .exact import MultiPoly, compose_affine, var_name
 
 DIM_BOUND = 8
 
@@ -134,11 +134,11 @@ def parametrize(dom: CascadePolytope) -> ParamSystem:
             (c, maps[level.vars[exps.index(1)]] if 1 in exps else (1, {}, 1))
             for exps, c in level.terms.items()
         ]
-        s = math.lcm(*(c.denominator * t for c, (_, _, t) in parts))
+        s = level.den * math.lcm(*(t for _, (_, _, t) in parts))
         b = 0
         a: dict[int, int] = {}
         for c, (rb, ra, t) in parts:
-            f = c.numerator * (s // (c.denominator * t))
+            f = c * (s // (level.den * t))
             b += f * rb
             for v, x in ra.items():
                 a[v] = a.get(v, 0) + f * x
@@ -356,16 +356,15 @@ def integrate_over_simplex(
         lin[None] = base
         images[vid] = {t: c for t, c in lin.items() if c}
     q = compose_affine(p, images, lcm)
-    # sum c * prod m_i! / (|m| + d)! over the common denominator den * (D + d)!
-    nums, den = common_denominator(list(q.terms.values()))
+    # sum c * prod m_i! / (|m| + d)! over the common denominator q.den * (D + d)!
     top = math.factorial(q.total_degree() + d)
     acc = 0
-    for exps, c in zip(q.terms, nums):
+    for exps, c in q.terms.items():
         w = c * (top // math.factorial(sum(exps) + d))
         for m in exps:
             w *= math.factorial(m)
         acc += w
-    return Fraction(abs(pivot) * acc, math.prod(dens) * den * top)
+    return Fraction(abs(pivot) * acc, math.prod(dens) * q.den * top)
 
 
 def point_value(
@@ -471,7 +470,7 @@ def lattice_sum(p: MultiPoly, dom: CascadePolytope, k: int) -> float:
     frows = [(float(b), [float(c) for c in a], float(s)) for b, a, s in ps.rows]
     pos = {v: i for i, v in enumerate(dom.variables)}
     pidx = [pos[v] for v in p.vars]
-    pf = [(exps, float(c)) for exps, c in p.terms.items()]
+    pf = [(exps, c / p.den) for exps, c in p.terms.items()]
     total = 0.0
     eps = 1e-12
     for m in itertools.product(*ranges):

@@ -79,20 +79,29 @@ def evaluate(
     return FlatValue(alpha, i0, convention, total, tuple(terms))
 
 
-def genus0_n4_oracle(alpha: WeightVector) -> Fraction:
-    """Independent closed form for g = 0, n = 4:
+def genus0_oracle(alpha: WeightVector) -> Fraction:
+    """Independent closed form of v for g = 0 and n >= 3:
 
-        -alpha_1 + sum_{m >= 2} max(0, alpha_1 + alpha_m - 1).
+        (-1)^n * sum_{I containing 1} (-1)^|I| * max(0, 1 - mu_I)^(n-3),
 
-    Symmetric in all four entries even though alpha_1 looks special.
+    with mu_i = 1 - alpha_i and mu_I the sum of mu_i over I; at n = 3,
+    max(0, x)^0 reads as [x > 0].  It holds for every 0 < alpha_i < 1
+    (McMullen, "The Gauss-Bonnet theorem for cone manifolds and volumes of
+    moduli spaces", Amer. J. Math. 139 (2017), after Thurston, "Shapes of
+    polyhedra", 1998).  At n <= 4 it holds for any positive entries; from
+    n = 5 it fails outside the cube, so such entries are refused.
     """
-    if alpha.genus != 0 or alpha.n != 4:
-        raise ValueError("oracle is specific to genus 0 with 4 entries")
-    a = alpha.entries
-    out = -a[0]
-    for m in range(1, 4):
-        out += max(Fraction(0), a[0] + a[m] - 1)
-    return out
+    if alpha.genus != 0:
+        raise ValueError("oracle is specific to genus 0")
+    if alpha.n >= 5 and not all(0 < a < 1 for a in alpha.entries):
+        raise ValueError("genus-0 oracle needs every entry in (0, 1) from n = 5")
+    first, *rest = (1 - a for a in alpha.entries)
+    total = Fraction(0)
+    for picks in itertools.product((0, 1), repeat=len(rest)):
+        x = 1 - first - sum(m for m, k in zip(rest, picks) if k)
+        if x > 0:
+            total += (-1) ** (1 + sum(picks)) * x ** (alpha.n - 3)
+    return (-1) ** alpha.n * total
 
 
 def has_integer_entry(alpha: WeightVector) -> bool:

@@ -21,7 +21,7 @@ from .kernels import (
     det_factor_forms,
     kernel_A,
 )
-from .recursion import evaluate, genus0_n4_oracle
+from .recursion import evaluate, genus0_oracle
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ _ORACLE_POINTS = [
 def _check_genus0_oracle(conv: ConventionFlags) -> tuple[bool, str]:
     for pt in _ORACLE_POINTS:
         w = WeightVector(0, pt)
-        want = genus0_n4_oracle(w)
+        want = genus0_oracle(w)
         got = _v(0, pt, 1, conv)
         if got != want:
             return False, f"v{tuple(map(str, pt))} = {got}, oracle {want}"

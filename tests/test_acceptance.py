@@ -30,7 +30,7 @@ from flatvol.kernels import (
     series_S,
 )
 from flatvol.polytopes import Block, CascadePolytope, integrate, lattice_sum
-from flatvol.recursion import evaluate, genus0_n4_oracle, scan
+from flatvol.recursion import evaluate, genus0_oracle, scan
 from flatvol.validate import run_validation
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,10 +73,10 @@ def test_criterion_02_genus0_oracle():
     # oracle sanity: full S4 symmetry at 50 random points
     for _ in range(50):
         w = _random_point(rng, 0, 4)
-        ref = genus0_n4_oracle(w)
+        ref = genus0_oracle(w)
         for perm in itertools.permutations(range(4)):
             pw = WeightVector(0, tuple(w.entries[i] for i in perm))
-            assert genus0_n4_oracle(pw) == ref, w.entries
+            assert genus0_oracle(pw) == ref, w.entries
 
     # engine vs oracle on >= 20 points hitting all 8 sign chambers of
     # the pair walls a_1+a_2, a_1+a_3, a_1+a_4 = 1
@@ -93,7 +93,7 @@ def test_criterion_02_genus0_oracle():
         assert len(points) < 500, "chamber sampling failed to cover"
     assert len(chambers) == 8
     for w in points:
-        assert evaluate(w).value == genus0_n4_oracle(w), w.entries
+        assert evaluate(w).value == genus0_oracle(w), w.entries
 
     # pinned values
     assert evaluate(_w(0, "9/10", "3/10", "1/2", "3/10")).value == Fraction(-1, 10)

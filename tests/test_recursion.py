@@ -16,7 +16,7 @@ from flatvol.kernels import PRINTED_CONVENTION, ConventionFlags
 from flatvol.polytopes import integrate, parametrize
 from flatvol.recursion import (
     evaluate,
-    genus0_n4_oracle,
+    genus0_oracle,
     has_integer_entry,
     riemann_diagnostic,
     scan,
@@ -84,19 +84,6 @@ def test_genus2_invariance_three_markings():
     assert evaluate(w, i0=2).value == want
 
 
-def _genus0_closed_form(entries):
-    # (-1)^n sum over I containing the first marking of (-1)^|I| max(0, 1 - mu_I)^(n-3),
-    # with mu_i = 1 - alpha_i; valid for genus 0 and every 0 < alpha_i < 1
-    n = len(entries)
-    mu = [1 - a for a in entries]
-    total = Fraction(0)
-    for rest in itertools.product((0, 1), repeat=n - 1):
-        size = 1 + sum(rest)
-        mu_set = mu[0] + sum(m for m, k in zip(mu[1:], rest) if k)
-        total += (-1) ** size * max(Fraction(0), 1 - mu_set) ** (n - 3)
-    return (-1) ** n * total
-
-
 @pytest.mark.parametrize(
     "entries, want",
     [
@@ -106,7 +93,7 @@ def _genus0_closed_form(entries):
 )
 def test_genus0_closed_form(entries, want):
     w = _w(0, *entries)
-    assert _genus0_closed_form(w.entries) == want
+    assert genus0_oracle(w) == want
     assert evaluate(w).value == want
 
 
@@ -129,7 +116,8 @@ def test_genus0_closed_form_on_drawn_points(n, examples):
     @settings(derandomize=True, max_examples=examples, deadline=None)
     @given(_unit_cube_genus0_points(n))
     def check(entries):
-        assert evaluate(WeightVector(0, entries)).value == _genus0_closed_form(entries)
+        w = WeightVector(0, entries)
+        assert evaluate(w).value == genus0_oracle(w)
 
     check()
 
@@ -186,19 +174,26 @@ def test_oracle_symmetry_and_equality():
     import itertools
     for _ in range(50):
         w = _random_alpha(rng, 0, 4, avoid_integer=False)
-        ref = genus0_n4_oracle(w)
+        ref = genus0_oracle(w)
         for perm in itertools.permutations(w.entries):
-            assert genus0_n4_oracle(WeightVector(0, perm)) == ref
+            assert genus0_oracle(WeightVector(0, perm)) == ref
     for _ in range(20):
         w = _random_alpha(rng, 0, 4)
-        assert evaluate(w).value == genus0_n4_oracle(w)
+        assert evaluate(w).value == genus0_oracle(w)
 
 
 def test_oracle_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        genus0_n4_oracle(_w(1, "1/2", "3/2"))
+        genus0_oracle(_w(1, "1/2", "3/2"))
+    # at n = 3, max(0, x)^0 reads as [x > 0], which gives the base case 1
+    for entries in (("1/4", "1/4", "1/2"), ("1/3", "1/3", "1/3"), ("7/10", "1/5", "1/10")):
+        assert genus0_oracle(_w(0, *entries)) == 1
+    # from n = 5 the formula fails outside the cube: here the engine gives
+    # -1/4 and the formula -5/12, so the oracle refuses the point
+    w = _w(0, "3/2", "1/3", "1/3", "1/3", "1/2")
+    assert evaluate(w).value == Fraction(-1, 4)
     with pytest.raises(ValueError):
-        genus0_n4_oracle(_w(0, "1/4", "1/4", "1/2"))
+        genus0_oracle(w)
 
 
 def test_printed_convention_differs():
@@ -426,7 +421,7 @@ def test_exact_degree_on_wall_free_segments(genus, base, direction, t0, step):
     assert _difference(values, degree + 1) == [0]
     assert 0 not in _difference(values, degree)
     if genus == 0 and len(base) == 4:
-        oracle = [genus0_n4_oracle(_line(genus, base, direction, t)) for t in ts]
+        oracle = [genus0_oracle(_line(genus, base, direction, t)) for t in ts]
         assert oracle == values
         assert _difference(oracle, degree + 1) == [0] and 0 not in _difference(oracle, degree)
 
