@@ -167,11 +167,10 @@ def _render_value(doc: dict, fmt: str) -> str:
 def cmd_eval(args: argparse.Namespace) -> int:
     """eval and volhat; volhat refuses a wall point, where volhat is undefined."""
     alpha = _parse_alpha(args)
-    wall = has_integer_entry(alpha)
-    if wall and args.subcommand == "volhat":
-        raise ValueError("wall point: some entry is a positive integer, volhat undefined")
+    eval_at_wall = args.subcommand == "eval" and has_integer_entry(alpha)
+    norm = None if eval_at_wall else volume_normalization(alpha)
     fv = evaluate(alpha, i0=args.i0, convention=ConventionFlags(args.s_exponent, args.term_sign))
-    vh = None if wall else volume_normalization(alpha) * float(fv.value)
+    vh = None if norm is None else norm * float(fv.value)
     _emit(_render_value(_value_doc(fv, vh), args.fmt), args.out)
     return 0
 

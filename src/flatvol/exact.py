@@ -230,6 +230,9 @@ class MultiPoly:
         return self.vars == other.vars and self.den == other.den and self.terms == other.terms
 
     def __hash__(self) -> int:
+        if not self.vars:
+            # a constant equals its value, so it hashes like it
+            return hash(self.constant_value())
         return hash((self.vars, self.den, frozenset(self.terms.items())))
 
     # -- substitution -----------------------------------------------------

@@ -17,7 +17,7 @@ to kernel leaves, producing one StarTree per combination: one factor
 polynomial per tree node, in the edge variables, and a cascade of twist
 blocks, with block level 2g_j - 2 + n_j + e_j - sum of leg weights.  The
 factors are never multiplied here; trees that share a node share its
-factor object, and StarTree.integrand forms the product on request.
+factor object, and integrate multiplies them on a full-dimensional domain.
 Within one flatten call each vertex type is expanded once; a later
 vertex of the same type gets that expansion with its variables renamed.
 """
@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .exact import MultiPoly, fresh_var, var_name
@@ -370,18 +369,14 @@ class StarTree:
     factors holds one polynomial per tree node, root first and then each
     child's subtree in outer-vertex order: the node's kernel body times
     its edge monomial and 1/(r! prod e_j!), times its sign or prefactor.
-    Trees of one flatten call share factor and block objects.  domain
-    cascades the blocks of the whole subtree in ancestor-first order, and
-    integrand is the product of the factors, formed on each access.
+    The tree's term is the integral of their product over domain, which
+    cascades the blocks of the whole tree in ancestor-first order.  Trees
+    of one flatten call share factor and block objects.
     """
 
     factors: tuple[MultiPoly, ...]
     domain: CascadePolytope
     ident: str
-
-    @property
-    def integrand(self) -> MultiPoly:
-        return reduce(operator.mul, self.factors)
 
 
 def _child_i0(
@@ -398,8 +393,8 @@ def _child_i0(
 
 
 # A subtree is (factors, blocks, ident), the parts of a StarTree before its
-# blocks form a cascade: flatten checks each root cascade once, and it holds
-# every block of its subtrees in ancestor-first order.
+# blocks form a cascade: their levels may use the parent's edge variables,
+# so only a root tree's blocks, in ancestor-first order, form a closed one.
 Subtree = tuple[tuple[MultiPoly, ...], tuple[Block, ...], str]
 
 # A vertex type is (genus, fixed marking labels, number of inherited edge
@@ -555,12 +550,7 @@ def flatten(
     wmap = {l: MultiPoly.const(w) for l, w in alpha.weight_map().items()}
     if graph.genus != alpha.genus or set(graph.markings) != set(alpha.labels()):
         raise ValueError("graph does not match the weight vector")
-    trees = [
+    return [
         StarTree(factors, CascadePolytope(blocks), ident)
         for factors, blocks, ident in _expand_graph(graph, wmap, convention, i0_policy, {})
     ]
-    for t in trees:
-        # root domains must be closed; only subtree domains may be parametric
-        if t.domain.external_vars:
-            raise AssertionError(f"open domain at root of {t.ident}")
-    return trees

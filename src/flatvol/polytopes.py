@@ -2,9 +2,10 @@
 
 A domain is a sequence of blocks; block j carries fresh positive variables
 b_1..b_e and the constraint b_1 + .. + b_e = level_j, where level_j is an
-affine expression in variables of earlier blocks (a constant for a root
-block).  The measure is the projection measure: eliminate the last
-variable of every block and integrate d(remaining coordinates).
+affine expression in variables of earlier blocks (a constant for the
+first block), so every cascade is closed.  The measure is the projection
+measure: eliminate the last variable of every block and integrate
+d(remaining coordinates).
 
 A zero-dimensional cascade (all blocks singletons) is a single forced
 point, valued by point_value in one forward pass over its blocks.  Any
@@ -13,11 +14,12 @@ over the free coordinates, and the rows double as its inequality system.
 Everything from there on is integer: vertex enumeration gives each vertex
 as a primitive homogeneous tuple (den, numerators) with every row's
 value there, the triangulation fans vertex indices from the
-lexicographically smallest vertex, and each simplex pulls the integrand
-back to the standard simplex straight from the cascade variables: on a
-simplex chart every cascade variable is affine in t, with integer
-coefficients over the lcm of the vertex denominators.  On the standard
-simplex monomials integrate in closed form:
+lexicographically smallest vertex, and each simplex pulls the integrand,
+a product of factors multiplied only once the polytope is known to be
+full-dimensional, back to the standard simplex straight from the cascade
+variables: on a simplex chart every cascade variable is affine in t,
+with integer coefficients over the lcm of the vertex denominators.  On
+the standard simplex monomials integrate in closed form:
 
     int_{t_i >= 0, sum t <= 1} prod t_i^{m_i} dt = prod m_i! / (sum m_i + d)!
 """
@@ -26,8 +28,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Sequence
 
 from .exact import MultiPoly, compose_affine, var_name
@@ -55,21 +59,19 @@ class Block:
 class CascadePolytope:
     """Blocks in dependency order; levels only use earlier blocks' variables.
 
-    Level variables that belong to no block at all are allowed and
-    reported as external parameters (a subtree's domain is parametric in
-    its ancestors); integration requires a closed cascade with none.
+    A level variable that no earlier block introduces is refused, so every
+    cascade is closed: its domain does not depend on outside parameters.
     """
 
     blocks: tuple[Block, ...]
 
     def __post_init__(self) -> None:
-        own = {v for blk in self.blocks for v in blk.vars}
         seen: set[int] = set()
         for blk in self.blocks:
             if set(blk.vars) & seen:
                 raise ValueError("block variables reused across blocks")
             for vid in blk.level.vars:
-                if vid in own and vid not in seen:
+                if vid not in seen:
                     raise ValueError(
                         f"level of a block uses {var_name(vid)} before it is introduced"
                     )
@@ -81,12 +83,6 @@ class CascadePolytope:
         for blk in self.blocks:
             out.extend(blk.vars)
         return tuple(out)
-
-    @property
-    def external_vars(self) -> tuple[int, ...]:
-        own = {v for blk in self.blocks for v in blk.vars}
-        ext = {v for blk in self.blocks for v in blk.level.vars if v not in own}
-        return tuple(sorted(ext))
 
     def dimension(self) -> int:
         return sum(len(b.vars) - 1 for b in self.blocks)
@@ -110,13 +106,6 @@ class ParamSystem:
     rows: tuple[Row, ...]
 
 
-def _require_closed(dom: CascadePolytope) -> None:
-    ext = dom.external_vars
-    if ext:
-        names = ", ".join(var_name(v) for v in ext)
-        raise ValueError(f"cascade is parametric in {names}; cannot integrate")
-
-
 def parametrize(dom: CascadePolytope) -> ParamSystem:
     """Eliminate the last variable of every block.
 
@@ -124,7 +113,6 @@ def parametrize(dom: CascadePolytope) -> ParamSystem:
     denominator, and the eliminated variable's row is reduced by the gcd
     of its entries.
     """
-    _require_closed(dom)
     free: list[int] = []
     # each variable's row, its a as a map over the free coordinates so far
     maps: dict[int, tuple[int, dict[int, int], int]] = {}
@@ -211,19 +199,19 @@ def solve_square(rows: Sequence[Sequence[int]], rhs: Sequence[int]):
 
 @dataclass(frozen=True)
 class VRepPolytope:
-    """Vertices of a closed feasible set plus facet certificates.
+    """Vertices of a closed feasible set with every row's value at each.
 
     vertices[k] is the point (num_1 / den, .., num_d / den) as the
     primitive integer tuple (den, num_1, .., num_d) with den > 0, the
-    vertices in point order.  tight[k] lists the rows active there, and
-    row i = (b, a, s) takes the value values[k][i] / (den * s) there.
-    full_dim says whether the affine hull of the vertices has the ambient
-    dimension (if not, the open feasible set is empty and integrals vanish).
+    vertices in point order.  Row i = (b, a, s) takes the value
+    values[k][i] / (den * s) there, so the rows active at vertex k are
+    the zeros of values[k].  full_dim says whether the affine hull of the
+    vertices has the ambient dimension (if not, the open feasible set is
+    empty and integrals vanish).
     """
 
     dim: int
     vertices: tuple[tuple[int, ...], ...]
-    tight: tuple[frozenset[int], ...]
     values: tuple[tuple[int, ...], ...]
     full_dim: bool
 
@@ -257,7 +245,7 @@ def enumerate_vertices(rows: Sequence[Row], free: Sequence[int]) -> VRepPolytope
             classes.setdefault(tuple(x // g for x in a), []).append(i)
     # keyed by the primitive solution (den, num), which is unique per point;
     # the first basis at a point keeps its row values, reduced to that den
-    found: dict[tuple[int, ...], tuple[set[int], list[int]]] = {}
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}
     bases = itertools.chain.from_iterable(
         itertools.product(*group) for group in itertools.combinations(classes.values(), d)
     )
@@ -269,20 +257,17 @@ def enumerate_vertices(rows: Sequence[Row], free: Sequence[int]) -> VRepPolytope
         vals = [b * den + sum(c * x for c, x in zip(a, num)) for b, a, _ in rows]
         if any(v < 0 for v in vals):
             continue
-        tight = {i for i, v in enumerate(vals) if v == 0}
         g = math.gcd(den, *num)
         key = (den // g, *(x // g for x in num))
-        prev = found.get(key)
-        if prev is None:
-            found[key] = (tight, [v // g for v in vals])
-        else:
-            prev[0].update(tight)
+        if key not in found:
+            # from a list: tuple() of a generator resizes as it grows, and
+            # that raised the benchmark's peak RSS
+            found[key] = tuple([v // g for v in vals])
     verts = sorted(found, key=lambda v: [Fraction(x, v[0]) for x in v[1:]])
     return VRepPolytope(
         d,
         tuple(verts),
-        tuple(frozenset(found[v][0]) for v in verts),
-        tuple(tuple(found[v][1]) for v in verts),
+        tuple(found[v] for v in verts),
         len(verts) > 0 and _rank(verts, d + 1) == d + 1,
     )
 
@@ -301,9 +286,8 @@ def triangulate(vrep: VRepPolytope, apex_rule: str = "lex_min") -> list[tuple[in
         raise ValueError("apex_rule must be lex_min or lex_max")
     if not vrep.full_dim:
         return []
-    verts = vrep.vertices
-    tight_of = vrep.tight
-    n_rows = len(vrep.values[0])
+    verts, values = vrep.vertices, vrep.values
+    n_rows = len(values[0])
 
     def tri(idxs: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
         if len(idxs) == k + 1:
@@ -312,7 +296,7 @@ def triangulate(vrep: VRepPolytope, apex_rule: str = "lex_min") -> list[tuple[in
         seen: set[tuple[int, ...]] = set()
         out: list[tuple[int, ...]] = []
         for row in range(n_rows):
-            sub = tuple(i for i in idxs if row in tight_of[i])
+            sub = tuple(i for i in idxs if not values[i][row])
             if not sub or apex in sub or len(sub) == len(idxs) or sub in seen:
                 continue
             seen.add(sub)
@@ -376,8 +360,8 @@ def point_value(
     """Product of the factors at the forced point of a zero-dimensional cascade.
 
     One forward pass over the singleton blocks evaluates each level at the
-    earlier blocks' values and returns 0 at the first level <= 0.  The
-    cascade must be closed and every factor variable one of its own.
+    earlier blocks' values and returns 0 at the first level <= 0.  Every
+    factor variable must be one of the cascade's own.
 
     at (variable id -> forced value) and factor_at (id of a factor ->
     its value there) are memos that this call fills.  Cascades may share
@@ -401,30 +385,29 @@ def point_value(
     return out
 
 
-def integrate(p: MultiPoly, dom: CascadePolytope) -> Fraction:
-    """Exact integral of p over the cascade, projection measure.
+def integrate(factors: Sequence[MultiPoly], dom: CascadePolytope) -> Fraction:
+    """Exact integral of the product of the factors over the cascade.
 
     A zero-dimensional domain (all blocks singletons) is valued by
-    point_value: p at the forced point when every level is positive, 0
-    otherwise.  Otherwise the cascade is parametrized; a constant row
-    <= 0 makes the domain empty before any vertex is enumerated, and else
-    p is pulled back onto each simplex of the triangulation from the
-    values of the cascade variables at its vertices, with no expansion
-    into the free chart.
+    point_value.  Otherwise the cascade is parametrized; a constant row
+    <= 0 makes the domain empty before any vertex is enumerated, and only
+    a full-dimensional polytope has the factors multiplied, the product
+    pulled back onto each simplex of the triangulation from the values of
+    the cascade variables at its vertices, with no free-chart expansion.
     """
-    _require_closed(dom)
     pos = {v: i for i, v in enumerate(dom.variables)}
-    for vid in p.vars:
+    for vid in {v for f in factors for v in f.vars}:
         if vid not in pos:
             raise ValueError(f"integrand uses foreign variable {var_name(vid)}")
     if not dom.dimension():
-        return point_value((p,), dom, {}, {})
+        return point_value(factors, dom, {}, {})
     ps = parametrize(dom)
     if any(b <= 0 and not any(a) for b, a, _ in ps.rows):
         return Fraction(0)
     vrep = enumerate_vertices(ps.rows, ps.free)
     if not vrep.full_dim:
         return Fraction(0)
+    p = reduce(operator.mul, factors)
     # every vertex over den * scale, scale the lcm of the row scales of p's
     # variables (a free variable's row has scale 1)
     used = [(v, pos[v]) for v in dict.fromkeys(ps.free + p.vars)]
@@ -450,7 +433,6 @@ def lattice_sum(p: MultiPoly, dom: CascadePolytope, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     if not dom.dimension():
-        _require_closed(dom)
         return float(point_value((p,), dom, {}, {}))
     ps = parametrize(dom)
     d = len(ps.free)

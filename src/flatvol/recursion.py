@@ -59,8 +59,8 @@ def evaluate(
     from its unmultiplied node factors.  The forced values of variables
     and factors are memoized over one root graph's tree list, where each
     variable belongs to one block and so has one forced value; the memo
-    is dropped with the list.  Only a tree with a free coordinate has its
-    factors multiplied out, and goes through integrate.
+    is dropped with the list.  Any other tree's factors go to integrate,
+    which multiplies them only on a full-dimensional polytope.
     """
     if i0 not in alpha.labels():
         raise ValueError(f"i0 = {i0} is not a marking label")
@@ -70,7 +70,7 @@ def evaluate(
         factor_at: dict[int, Fraction] = {}
         for t in flatten(gph, alpha, convention, i0_policy):
             if t.domain.dimension():
-                value = integrate(t.integrand, t.domain)
+                value = integrate(t.factors, t.domain)
             else:
                 value = point_value(t.factors, t.domain, at, factor_at)
             terms.append((t.ident, value))
@@ -115,7 +115,7 @@ def volume_normalization(alpha: WeightVector) -> float:
     rather than letting float roundoff hide the division by zero.
     """
     if has_integer_entry(alpha):
-        raise ValueError("q(alpha) vanishes, volhat undefined at a wall point")
+        raise ValueError("wall point: some entry is a positive integer, volhat undefined")
     m = 2 * alpha.genus - 2 + alpha.n
     q = q_factor(alpha.genus, alpha.entries)
     return (2.0 * math.pi) ** m / (math.factorial(m) * q)
@@ -127,10 +127,7 @@ def volhat(
     convention: ConventionFlags = DEFAULT_CONVENTION,
 ) -> float:
     """Normalized volume, double precision; wall points are an error."""
-    if has_integer_entry(alpha):
-        raise ValueError("wall point: some entry is a positive integer, volhat undefined")
-    fv = evaluate(alpha, i0, convention)
-    return volume_normalization(alpha) * float(fv.value)
+    return volume_normalization(alpha) * float(evaluate(alpha, i0, convention).value)
 
 
 @dataclass(frozen=True)
@@ -330,7 +327,7 @@ def riemann_diagnostic(
         )
         edges = tuple(v for vs in bvars for v in vs)
         mono = MultiPoly(edges, {(1,) * len(edges): Fraction(1)})
-        exact = integrate(mono, CascadePolytope(blocks))
+        exact = integrate((mono,), CascadePolytope(blocks))
         for k in ks:
             for c in info.levels:
                 if (k * c).denominator != 1:

@@ -207,11 +207,11 @@ def test_criterion_07_polytope_engine():
         return vs, CascadePolytope((Block(vs, MultiPoly.const(Fraction(level))),))
 
     vs, tri = simplex(3, 1, "ac7a")
-    assert integrate(MultiPoly.one(), tri) == Fraction(1, 2)
-    assert integrate(MultiPoly.variable(vs[0]), tri) == Fraction(1, 6)
+    assert integrate((MultiPoly.one(),), tri) == Fraction(1, 2)
+    assert integrate((MultiPoly.variable(vs[0]),), tri) == Fraction(1, 6)
     c = Fraction(4, 3)
     _, scaled = simplex(4, c, "ac7b")
-    assert integrate(MultiPoly.one(), scaled) == c**3 / 6
+    assert integrate((MultiPoly.one(),), scaled) == c**3 / 6
 
     # additivity under random hyperplane splits of a simplex
     from flatvol.polytopes import enumerate_vertices, integrate_over_simplex, triangulate
@@ -258,7 +258,7 @@ def test_criterion_07_polytope_engine():
                                 (3, lambda v: MultiPoly.variable(v[0]) * MultiPoly.variable(v[1]))):
         vs, dom = simplex(nvars, 1, f"ac7r{nvars}")
         p = integrand_of(vs)
-        exact = float(integrate(p, dom))
+        exact = float(integrate((p,), dom))
         errs = [abs(float(lattice_sum(p, dom, k)) - exact) / abs(exact) for k in (100, 200, 400)]
         assert errs[0] > errs[1] > errs[2], errs
         assert errs[2] < 0.02, errs

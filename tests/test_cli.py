@@ -54,6 +54,7 @@ def test_exit_code_2_paths(capsys):
     # volhat rejects walls outright
     code, _, err = _run(capsys, "volhat", "--g", "1", "--alpha", "1,1")
     assert code == 2 and "wall" in err
+    assert err == "error: wall point: some entry is a positive integer, volhat undefined\n"
     # riemann refuses k that leaves a twist level non-integral
     code, _, err = _run(capsys, "riemann", "--g", "1", "--alpha", "3/2,1/2", "--k", "3")
     assert code == 2 and err.startswith("error:")

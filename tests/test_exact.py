@@ -125,6 +125,11 @@ def test_multipoly_product_normal_form():
     assert half == px + 1 and half.den == 1 and hash(half) == hash(px + 1)
     q = MultiPoly((x,), {(1,): Fraction(2, 4)})
     assert q.den == 2 and q.terms == {(1,): 1}
+    # a constant polynomial equals its value, so it hashes like it too
+    for c in (2, Fraction(1, 2), 0, Fraction(-7, 3)):
+        const = MultiPoly.const(c)
+        assert const == c and hash(const) == hash(c) and len({const, c}) == 1
+    assert len({MultiPoly.zero(), px - px, 0, Fraction(0)}) == 1
     cube = ((px + 1) * Fraction(1, 2)) ** 3
     assert cube.den == 8 and cube.terms == {(3,): 1, (2,): 3, (1,): 3, (0,): 1}
     # the denominators of a product cancel against the numerators' contents

@@ -62,20 +62,23 @@ def test_cascade_ordering_rules():
 
 
 def test_cascade_external_parameters():
-    # a level variable no block introduces is an ancestor parameter
+    # a level variable no block introduces would leave the cascade open,
+    # so construction refuses it
     x, y, t = fresh_var("ex"), fresh_var("ey"), fresh_var("et")
-    dom = CascadePolytope((Block((x, y), MultiPoly.variable(t)),))
-    assert dom.external_vars == (t,)
-    with pytest.raises(ValueError):
-        parametrize(dom)
-    with pytest.raises(ValueError):
-        integrate(MultiPoly.one(), dom)
+    with pytest.raises(ValueError, match="before it is introduced"):
+        CascadePolytope((Block((x, y), MultiPoly.variable(t)),))
+    # a level in an earlier block's variable and a stranger's is refused too
+    u = fresh_var("eu")
+    with pytest.raises(ValueError, match="before it is introduced"):
+        CascadePolytope(
+            (Block((t,), MultiPoly.one()), Block((x, y), MultiPoly.affine(1, {t: 1, u: -1})))
+        )
 
 
 def test_simplex_measure_and_moment():
     vs, dom = _simplex_dom(3, 1, "m")
-    assert integrate(MultiPoly.one(), dom) == Fraction(1, 2)
-    assert integrate(MultiPoly.variable(vs[0]), dom) == Fraction(1, 6)
+    assert integrate((MultiPoly.one(),), dom) == Fraction(1, 2)
+    assert integrate((MultiPoly.variable(vs[0]),), dom) == Fraction(1, 6)
 
     # the triangle (0,0), (0,2/5), (1/3,0) listed with negative orientation
     x, y = fresh_var("mx"), fresh_var("my")
@@ -100,8 +103,8 @@ def test_scaled_level_closed_forms():
     c = Fraction(5, 7)
     vs, dom = _simplex_dom(3, c, "c")
     # measure c^2/2 and first moment c^3/6
-    assert integrate(MultiPoly.one(), dom) == c ** 2 / 2
-    assert integrate(MultiPoly.variable(vs[0]), dom) == c ** 3 / 6
+    assert integrate((MultiPoly.one(),), dom) == c ** 2 / 2
+    assert integrate((MultiPoly.variable(vs[0]),), dom) == c ** 3 / 6
 
 
 def test_dirichlet_monomials():
@@ -114,7 +117,7 @@ def test_dirichlet_monomials():
         p = MultiPoly.one()
         for v, m in zip(vs[:d], ms):
             p = p * MultiPoly.variable(v) ** m
-        got = integrate(p, dom)
+        got = integrate((p,), dom)
         tot = sum(ms)
         want = c ** (tot + d)
         for m in ms:
@@ -191,8 +194,8 @@ def test_two_block_cascade():
         (Block((x, y), MultiPoly.const(Fraction(1))), Block((z,), MultiPoly.variable(x)))
     )
     # z is pinned to x, so integrals reduce to moments of x on (0,1)
-    assert integrate(MultiPoly.variable(x) * MultiPoly.variable(z), dom) == Fraction(1, 3)
-    assert integrate(MultiPoly.one(), dom) == 1
+    assert integrate((MultiPoly.variable(x) * MultiPoly.variable(z),), dom) == Fraction(1, 3)
+    assert integrate((MultiPoly.one(),), dom) == 1
 
 
 def test_two_block_cascade_with_free_child():
@@ -202,19 +205,19 @@ def test_two_block_cascade_with_free_child():
         (Block((a, b), MultiPoly.const(Fraction(1))), Block((u, v), MultiPoly.variable(a)))
     )
     # measure: int_0^1 a da = 1/2; first child moment: int_0^1 a^2/2 da = 1/6
-    assert integrate(MultiPoly.one(), dom) == Fraction(1, 2)
-    assert integrate(MultiPoly.variable(u), dom) == Fraction(1, 6)
+    assert integrate((MultiPoly.one(),), dom) == Fraction(1, 2)
+    assert integrate((MultiPoly.variable(u),), dom) == Fraction(1, 6)
 
 
 def test_atom_substitution():
     u = fresh_var("au")
     dom = CascadePolytope((Block((u,), MultiPoly.const(Fraction(1, 4))),))
-    assert integrate(MultiPoly.variable(u), dom) == Fraction(1, 4)
-    assert integrate(MultiPoly.one(), dom) == 1
+    assert integrate((MultiPoly.variable(u),), dom) == Fraction(1, 4)
+    assert integrate((MultiPoly.one(),), dom) == 1
 
     w = fresh_var("aw")
     empty = CascadePolytope((Block((w,), MultiPoly.const(Fraction(-1, 3))),))
-    assert integrate(MultiPoly.one(), empty) == 0
+    assert integrate((MultiPoly.one(),), empty) == 0
 
 
 def test_atom_gating_cascade():
@@ -226,7 +229,7 @@ def test_atom_gating_cascade():
             Block((y,), MultiPoly.variable(x) - Fraction(1)),
         )
     )
-    assert integrate(MultiPoly.one(), dom) == 0
+    assert integrate((MultiPoly.one(),), dom) == 0
 
 
 def test_constant_nonpositive_expression_skips_vertices(monkeypatch):
@@ -235,7 +238,9 @@ def test_constant_nonpositive_expression_skips_vertices(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("vertex enumeration on an empty cascade")
 
-    monkeypatch.setattr(polytopes, "enumerate_vertices", refuse)
+    def refuse_mul(*args):
+        raise AssertionError("factors multiplied on an empty domain")
+
     u, x, y, z = (fresh_var(f"cz{i}") for i in range(4))
     dom = CascadePolytope(
         (
@@ -245,14 +250,33 @@ def test_constant_nonpositive_expression_skips_vertices(monkeypatch):
         )
     )
     assert dom.dimension() == 1
-    assert integrate(MultiPoly.variable(x), dom) == 0
+    factors = (MultiPoly.variable(x), MultiPoly.variable(y))
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse_mul)
+    monkeypatch.setattr(polytopes, "enumerate_vertices", refuse)
+    assert integrate(factors, dom) == 0
+    monkeypatch.undo()
+
+    # x <= 1/2 <= x leaves the single vertex x = 1/2, a polytope that is
+    # not full-dimensional: its vertices are enumerated, nothing multiplied
+    w = fresh_var("cz4")
+    dom = CascadePolytope(
+        (
+            Block((x, y), MultiPoly.one()),
+            Block((z,), MultiPoly.variable(x) - Fraction(1, 2)),
+            Block((w,), Fraction(1, 2) - MultiPoly.variable(x)),
+        )
+    )
+    ps = parametrize(dom)
+    assert not enumerate_vertices(ps.rows, ps.free).full_dim
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse_mul)
+    assert integrate(factors, dom) == 0
 
 
 def test_integrate_rejects_foreign_variables():
     vs, dom = _simplex_dom(2, 1, "fv")
     stranger = fresh_var("stranger")
     with pytest.raises(ValueError):
-        integrate(MultiPoly.variable(stranger), dom)
+        integrate((MultiPoly.variable(stranger),), dom)
 
 
 _SQUARE = [(0, (1, 0), 1), (0, (0, 1), 1), (1, (-1, 0), 1), (1, (0, -1), 1)]
@@ -290,7 +314,10 @@ def test_vertex_enumeration_square():
         rows = [_QUAD[i] for i in order]
         vrep = enumerate_vertices(rows, free)
         assert vrep.full_dim
-        got = {v: {order[i] for i in t} for v, t in zip(vrep.vertices, vrep.tight)}
+        got = {
+            v: {order[i] for i, x in enumerate(vals) if not x}
+            for v, vals in zip(vrep.vertices, vrep.values)
+        }
         assert got == tight
         _assert_vertex_table(rows, vrep)
 
@@ -317,7 +344,8 @@ def test_vertex_enumeration_skips_parallel_bases(monkeypatch):
     assert len(solved) == 4
     assert all(solve_square(rows, (0, 0)) is not None for rows in solved)
     assert set(vrep.vertices) == {(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)}
-    assert vrep.tight == (frozenset({0, 1}), frozenset({0, 3}), frozenset({1, 2}), frozenset({2, 3}))
+    zeros = [{i for i, x in enumerate(vals) if not x} for vals in vrep.values]
+    assert zeros == [{0, 1}, {0, 3}, {1, 2}, {2, 3}]
 
 
 def test_vertex_enumeration_dim_bound(monkeypatch):
@@ -382,7 +410,7 @@ def test_integrate_matches_free_chart_pullback():
         _, subst, _ = _substitution_parametrize(dom)
         q = p.substitute({v: subst[v] for v in p.vars})
         want = _region_integral(q, ps.rows, ps.free)
-        assert integrate(p, dom) == want, trial
+        assert integrate((p,), dom) == want, trial
         nonzero += want != 0
     assert nonzero >= 30
 

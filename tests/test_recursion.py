@@ -10,10 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flatvol import exact, kernels, recursion
-from flatvol.graphs import WeightVector, enumerate_star_graphs, flatten
+from flatvol import exact, graphs, kernels, recursion
+from flatvol.graphs import OuterVertex, WeightVector, enumerate_star_graphs, flatten
 from flatvol.kernels import PRINTED_CONVENTION, ConventionFlags
-from flatvol.polytopes import integrate, parametrize
+from flatvol.polytopes import Block, CascadePolytope, integrate, parametrize
 from flatvol.recursion import (
     evaluate,
     genus0_oracle,
@@ -139,18 +139,61 @@ def test_tree_values_match_integrand_integrals(genus, entries, want):
     point_terms_nonzero = set()
     for gph in enumerate_star_graphs(w.genus, w.labels(), 1):
         for t in flatten(gph, w):
-            value = integrate(t.integrand, t.domain)
+            integrand = math.prod(t.factors)
+            value = integrate((integrand,), t.domain)
             if not t.domain.dimension():
                 rows = parametrize(t.domain).rows
                 forced = {v: Fraction(b, s) for v, (b, _, s) in zip(t.domain.variables, rows)}
                 empty = any(x <= 0 for x in forced.values())
-                assert value == (0 if empty else t.integrand.evaluate(forced)), t.ident
+                assert value == (0 if empty else integrand.evaluate(forced)), t.ident
                 point_terms_nonzero.add(value != 0)
             expected.append((t.ident, value))
     assert point_terms_nonzero == {False, True}
     fv = evaluate(w)
     assert fv.terms == tuple(sorted(expected))
     assert fv.value == want
+
+
+def _fixed(p, beta):
+    return p.substitute({v: beta.get(v, exact.MultiPoly.variable(v)) for v in p.vars})
+
+
+@pytest.mark.parametrize(
+    "genus, entries, vertex",
+    [
+        (2, ("4/7", "9/7", "22/7"), OuterVertex(0, 3, (2,))),
+        (2, ("4/7", "9/7", "22/7"), OuterVertex(1, 2, (2,))),
+        (3, ("5/3", "13/3"), OuterVertex(2, 2, (2,))),
+    ],
+)
+def test_outer_vertex_subtrees_sum_to_lower_volume(genus, entries, vertex):
+    # the paper's induction inside the engine: fix an outer vertex's edge
+    # weights beta at an interior point of its block; its subtrees, with
+    # beta substituted into their factors and levels, integrate in sum to
+    # v at the vertex's genus and weights (alpha on its legs, beta)
+    w = _w(genus, *entries)
+    wmap = {l: exact.MultiPoly.const(x) for l, x in w.weight_map().items()}
+    legs = [w.weight_map()[l] for l in vertex.legs]
+    level = vertex.euler - sum(legs)
+    shares = range(2, vertex.edges + 2)
+    betas = [level * k / sum(shares) for k in shares]
+    checked = 0
+    for gph in enumerate_star_graphs(w.genus, w.labels(), 1):
+        if vertex not in gph.outer:
+            continue
+        memo = {}
+        graphs._expand_graph(gph, wmap, kernels.DEFAULT_CONVENTION, "smallest_marking", memo)
+        # a root vertex type has no inherited legs; its ids start with its edges
+        ids, subtrees = memo[vertex.genus, vertex.legs, 0, vertex.edges]
+        beta = dict(zip(ids, betas))
+        total = Fraction(0)
+        for factors, blocks, _ in subtrees:
+            dom = CascadePolytope(tuple(Block(b.vars, _fixed(b.level, beta)) for b in blocks))
+            total += integrate(tuple(_fixed(f, beta) for f in factors), dom)
+        want = evaluate(WeightVector(vertex.genus, tuple(legs + betas))).value
+        assert total == want, gph.encode()
+        checked += 1
+    assert checked
 
 
 def test_terms_sum_to_value():
@@ -295,7 +338,7 @@ def test_scan_memo(monkeypatch):
     assert len(calls) == sum(1 for r in rows if r.flag != "invalid") == 9
 
 
-def test_volume_normalization_and_volhat():
+def test_volume_normalization_and_volhat(monkeypatch):
     w = _w(0, "1/2", "1/2", "1/2", "1/2")
     assert abs(volhat(w) - math.pi ** 2 / 4) < 1e-12
 
@@ -306,10 +349,16 @@ def test_volume_normalization_and_volhat():
     w3 = _w(0, "9/10", "3/10", "1/2", "3/10")
     assert volhat(w3) > 0
 
-    with pytest.raises(ValueError):
-        volhat(_w(1, 1, 1))
-    with pytest.raises(ValueError):
-        volume_normalization(_w(1, 1, 1))
+    # one wall refusal, in volume_normalization, with the message the CLI
+    # prints; volhat meets it before evaluating anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated at a wall point")
+
+    monkeypatch.setattr(recursion, "evaluate", refuse)
+    msg = "^wall point: some entry is a positive integer, volhat undefined$"
+    for fn in (volhat, volume_normalization):
+        with pytest.raises(ValueError, match=msg):
+            fn(_w(1, 1, 1))
 
 
 def test_volhat_bounded_near_wall():
