@@ -1,6 +1,6 @@
 """Exact evaluation walkthrough.
 
-Computes v(alpha) at a few weight vectors, shows the per-tree term
+Computes v(alpha) at a few weight vectors, shows the per-graph term
 breakdown, and converts to the normalized volume.  Everything before the
 final float conversion is exact rational arithmetic.
 """
@@ -30,11 +30,11 @@ print("\ng=1 n=3 at (5/4, 5/4, 1/2):")
 for i0 in (1, 2, 3):
     print(f"  i0={i0}: v = {evaluate(w, i0=i0).value}")
 
-# term breakdown: one row per expanded tree of nested star graphs
+# term breakdown: one row per root star graph, the sum of its nested trees
 fv = evaluate(WeightVector(1, (Fraction(1, 2), Fraction(3, 2))))
 print("\ng=1 n=2 at (1/2, 3/2): v =", fv.value)
-for ident, val in fv.terms:
-    print(f"  {str(val):>8} : {ident}")
+for label, val in fv.terms:
+    print(f"  {str(val):>8} : {label}")
 
 # normalized volume: (2 pi)^m / (m! q(alpha)) * v(alpha), m = 2g-2+n
 w = WeightVector(0, (Fraction(1, 2),) * 4)

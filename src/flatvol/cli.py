@@ -143,7 +143,7 @@ def _value_doc(fv, vh: float | None) -> dict:
         "convention": {"s_exponent": conv.s_exponent, "term_sign": conv.term_sign},
         "v": format_rational(fv.value),
         "volhat": vh,
-        "terms": [{"tree": ident, "value": format_rational(val)} for ident, val in fv.terms],
+        "terms": [{"graph": label, "value": format_rational(val)} for label, val in fv.terms],
     }
 
 
@@ -160,7 +160,7 @@ def _render_value(doc: dict, fmt: str) -> str:
         "terms:",
     ]
     for term in doc["terms"]:
-        lines.append(f"  {term['value']} : {term['tree']}")
+        lines.append(f"  {term['value']} : {term['graph']}")
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,7 @@ g = e0 - ell + sum_j g_j with e0 the total edge count, and every vertex
 must be stable (2g - 2 + markings + edges > 0).
 
 Outer descriptors are kept canonically sorted, so enumeration is free of
-duplicates; a graph with r identical outer vertices stands for ell!/r!
+duplicates; a graph with r equal outer vertices stands for ell!/r!
 ordered labelings and its terms carry the weight 1/(r! * prod e_j!),
 which equals the reciprocal automorphism count 1/|Aut|.
 
@@ -20,6 +20,9 @@ factors are never multiplied here; trees that share a node share its
 factor object, and integrate multiplies them on a full-dimensional domain.
 Within one flatten call each vertex type is expanded once; a later
 vertex of the same type gets that expansion with its variables renamed.
+A graph is dropped before its kernel is expanded when a block's domain
+is empty or, under the default convention, when its trees cancel; the
+trees are internal, and evaluate reports one sum per root graph.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ class StarGraph:
 
     @property
     def sym_factor(self) -> int:
-        """prod r! over groups of identical outer descriptors."""
+        """prod r! over groups of equal outer descriptors."""
         out = 1
         for _, grp in itertools.groupby(self.outer):
             out *= math.factorial(sum(1 for _ in grp))
@@ -193,26 +196,14 @@ def _stable(g: int, slots: int) -> bool:
     return 2 * g - 2 + slots > 0
 
 
-def _legless_multisets(budget: int):
-    """Non-decreasing tuples of stable legless (g, e) pairs, cost g+e-1 <= budget."""
-
-    pairs = []
-    for g in range(0, budget + 1):
-        for e in range(1, budget + 2):
-            if g + e - 1 <= budget and _stable(g, e):
-                pairs.append((g, e))
-
-    def rec(start: int, left: int):
-        yield ()
-        for idx in range(start, len(pairs)):
-            g, e = pairs[idx]
-            cost = g + e - 1
-            if cost > left:
-                continue
-            for rest in rec(idx, left - cost):
-                yield ((g, e),) + rest
-
-    yield from rec(0, budget)
+def _legless_multisets(budget: int, least: tuple[int, int] = (0, 1)):
+    """Non-decreasing tuples of stable legless (g, e) pairs, each >= least, cost g+e-1 <= budget."""
+    yield ()
+    for g in range(budget + 1):
+        for e in range(1, budget + 2 - g):
+            if (g, e) >= least and _stable(g, e):
+                for rest in _legless_multisets(budget - (g + e - 1), (g, e)):
+                    yield ((g, e),) + rest
 
 
 def _set_partitions(items: tuple[int, ...]):
@@ -364,38 +355,43 @@ I0_POLICIES = ("smallest_marking", "largest_marking", "edge_first")
 
 @dataclass(frozen=True, slots=True)
 class StarTree:
-    """One flattened term: a star graph with fully expanded outer vertices.
+    """One flattened tree of a root star graph, with every outer vertex expanded.
 
     factors holds one polynomial per tree node, root first and then each
     child's subtree in outer-vertex order: the node's kernel body times
     its edge monomial and 1/(r! prod e_j!), times its sign or prefactor.
-    The tree's term is the integral of their product over domain, which
-    cascades the blocks of the whole tree in ancestor-first order.  Trees
-    of one flatten call share factor and block objects.
+    The tree contributes the integral of their product over domain, which
+    cascades the blocks of the whole tree in ancestor-first order; only
+    the sum over a root graph's trees is reported.  Trees of one flatten
+    call share factor and block objects.
     """
 
     factors: tuple[MultiPoly, ...]
     domain: CascadePolytope
-    ident: str
 
 
-def _child_i0(
-    legs: tuple[Label, ...],
-    new_edges: tuple[Label, ...],
-    wmap: Mapping[Label, MultiPoly],
-    policy: str,
-) -> Label:
-    fixed = [l for l in legs if wmap[l].is_constant()]
+def _child_i0(legs: tuple[Label, ...], new_edges: tuple[Label, ...], policy: str) -> Label:
+    fixed = [l for l in legs if isinstance(l, int)]
     if not fixed or policy == "edge_first":
         return new_edges[0]
     pick = min if policy == "smallest_marking" else max
     return pick(fixed, key=label_key)
 
 
-# A subtree is (factors, blocks, ident), the parts of a StarTree before its
-# blocks form a cascade: their levels may use the parent's edge variables,
-# so only a root tree's blocks, in ancestor-first order, form a closed one.
-Subtree = tuple[tuple[MultiPoly, ...], tuple[Block, ...], str]
+def _sums_to_zero(graph: StarGraph, convention: ConventionFlags) -> bool:
+    """Whether the graph's trees cancel: under the default convention, a
+    legless one-edge outer vertex of genus g_j has its edge forced to
+    2g_j - 1 and its subtrees sum to v_{g_j,1}(2g_j - 1) = 0.
+    """
+    return convention == DEFAULT_CONVENTION and any(
+        ov.edges == 1 and not ov.legs for ov in graph.outer
+    )
+
+
+# A subtree is (factors, blocks), the parts of a StarTree before its blocks
+# form a cascade: their levels may use the parent's edge variables, so
+# only a root tree's blocks, in ancestor-first order, form a closed one.
+Subtree = tuple[tuple[MultiPoly, ...], tuple[Block, ...]]
 
 # A vertex type is (genus, fixed marking labels, number of inherited edge
 # legs, number of new edges); a label fixes its weight within one flatten
@@ -425,7 +421,7 @@ def _renamed(template: Template, slots: tuple[int, ...]) -> list[Subtree]:
     factors: dict[int, MultiPoly] = {}
     blocks: dict[int, Block] = {}
     out = []
-    for t_factors, t_blocks, ident in trees:
+    for t_factors, t_blocks in trees:
         fs = []
         for f in t_factors:
             new = factors.get(id(f))
@@ -438,7 +434,7 @@ def _renamed(template: Template, slots: tuple[int, ...]) -> list[Subtree]:
             if new is None:
                 new = blocks[id(blk)] = Block(tuple(ids[v] for v in blk.vars), poly(blk.level))
             dom.append(new)
-        out.append((tuple(fs), tuple(dom), ident))
+        out.append((tuple(fs), tuple(dom)))
     return out
 
 
@@ -449,6 +445,8 @@ def _expand_graph(
     policy: str,
     memo: dict[VertexType, Template],
 ) -> list[Subtree]:
+    if _sums_to_zero(graph, convention):
+        return []
     # fresh twist variables, grouped per outer vertex
     edge_vars: list[tuple[int, ...]] = []
     for ov in graph.outer:
@@ -456,7 +454,8 @@ def _expand_graph(
     all_edges = tuple(v for vars_j in edge_vars for v in vars_j)
 
     # per-vertex blocks, level 2g-2+n+e minus the leg weights; prune
-    # structurally empty domains before expanding the kernel.  Legs sort
+    # empty domains before expanding the kernel: inherited edges are
+    # positive, so a constant part c <= 0 leaves no twist.  Legs sort
     # fixed markings first, then inherited edges by id.
     blocks: list[Block] = []
     leg_ids: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -464,7 +463,7 @@ def _expand_graph(
         fixed = tuple(l for l in ov.legs if isinstance(l, int))
         inherited = tuple(l[1] for l in ov.legs if not isinstance(l, int))
         c = ov.euler - sum(wmap[l].constant_value() for l in fixed)
-        if not inherited and c <= 0:
+        if c <= 0:
             return []
         blocks.append(Block(vars_j, MultiPoly.affine(c, dict.fromkeys(inherited, -1))))
         leg_ids.append((fixed, inherited))
@@ -497,40 +496,24 @@ def _expand_graph(
             for lab, vid in zip(edge_labels, vars_j):
                 child_wmap[lab] = MultiPoly.variable(vid)
             child_markings = tuple(child_wmap)
-            ci0 = _child_i0(child_markings, edge_labels, child_wmap, policy)
+            ci0 = _child_i0(child_markings, edge_labels, policy)
             subtrees = []
             for sub in enumerate_star_graphs(ov.genus, child_markings, ci0):
                 subtrees.extend(_expand_graph(sub, child_wmap, convention, policy, memo))
-            inner = sorted({v for _, bs, _ in subtrees for blk in bs for v in blk.vars})
+            inner = sorted({v for _, bs in subtrees for blk in bs for v in blk.vars})
             memo[key] = (slot_ids + tuple(inner), subtrees)
         if not subtrees:
             return []
         child_lists.append(subtrees)
 
-    # idents must not leak run-dependent variable names: render edge legs
-    # by their rank within this node, fixed markings by number
-    edge_rank = {
-        l: i
-        for i, l in enumerate(
-            sorted((l for l in graph.legs0 if not isinstance(l, int)), key=label_key), 1
-        )
-    }
-
-    def leg_str(l: Label) -> str:
-        return str(l) if isinstance(l, int) else f"e{edge_rank[l]}"
-
-    node_ident = f"{graph.genus0}[" + ",".join(leg_str(l) for l in graph.legs0) + "]"
     out: list[Subtree] = []
     for combo in itertools.product(*child_lists):
         factors = [factor]
         all_blocks = list(blocks)
-        bits = []
-        for ov, (child_factors, child_blocks, child_ident) in zip(graph.outer, combo):
+        for child_factors, child_blocks in combo:
             factors.extend(child_factors)
             all_blocks.extend(child_blocks)
-            bits.append(f"({ov.genus},{ov.edges})" + child_ident)
-        ident = node_ident + ("" if not bits else "(" + " ".join(bits) + ")")
-        out.append((tuple(factors), tuple(all_blocks), ident))
+        out.append((tuple(factors), tuple(all_blocks)))
     return out
 
 
@@ -538,19 +521,24 @@ def flatten(
     graph: StarGraph,
     alpha: WeightVector,
     convention: ConventionFlags = DEFAULT_CONVENTION,
-    i0_policy: str = "smallest_marking",
+    i0_policy: str | None = None,
 ) -> list[StarTree]:
     """Flatten one root star graph at a numeric weight vector.
 
-    Returns one StarTree per combination of nested expansions, domains
-    already pruned when structurally empty.
+    Returns one StarTree per combination of nested expansions, without
+    the graphs whose trees cancel or whose domain is empty.  i0_policy
+    picks each child graph's root; None means edge_first under the
+    default convention, where v does not depend on it, and
+    smallest_marking under every other convention.
     """
+    if i0_policy is None:
+        i0_policy = "edge_first" if convention == DEFAULT_CONVENTION else "smallest_marking"
     if i0_policy not in I0_POLICIES:
         raise ValueError(f"unknown i0 policy {i0_policy!r}")
     wmap = {l: MultiPoly.const(w) for l, w in alpha.weight_map().items()}
     if graph.genus != alpha.genus or set(graph.markings) != set(alpha.labels()):
         raise ValueError("graph does not match the weight vector")
     return [
-        StarTree(factors, CascadePolytope(blocks), ident)
-        for factors, blocks, ident in _expand_graph(graph, wmap, convention, i0_policy, {})
+        StarTree(factors, CascadePolytope(blocks))
+        for factors, blocks in _expand_graph(graph, wmap, convention, i0_policy, {})
     ]

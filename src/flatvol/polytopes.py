@@ -286,27 +286,26 @@ def triangulate(vrep: VRepPolytope, apex_rule: str = "lex_min") -> list[tuple[in
         raise ValueError("apex_rule must be lex_min or lex_max")
     if not vrep.full_dim:
         return []
-    verts, values = vrep.vertices, vrep.values
-    n_rows = len(values[0])
+    return _fan(vrep, tuple(range(len(vrep.vertices))), vrep.dim, apex_rule == "lex_min")
 
-    def tri(idxs: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-        if len(idxs) == k + 1:
-            return [idxs]
-        apex = idxs[0] if apex_rule == "lex_min" else idxs[-1]
-        seen: set[tuple[int, ...]] = set()
-        out: list[tuple[int, ...]] = []
-        for row in range(n_rows):
-            sub = tuple(i for i in idxs if not values[i][row])
-            if not sub or apex in sub or len(sub) == len(idxs) or sub in seen:
-                continue
-            seen.add(sub)
-            if _rank([verts[i] for i in sub], vrep.dim + 1) != k:
-                continue
-            for s in tri(sub, k - 1):
-                out.append(s + (apex,))
-        return out
 
-    return tri(tuple(range(len(verts))), vrep.dim)
+def _fan(vrep: VRepPolytope, idxs: tuple[int, ...], k: int, lex_min: bool) -> list[tuple[int, ...]]:
+    """Fan triangulation of the k-dimensional face spanned by the vertices idxs."""
+    if len(idxs) == k + 1:
+        return [idxs]
+    apex = idxs[0] if lex_min else idxs[-1]
+    seen: set[tuple[int, ...]] = set()
+    out: list[tuple[int, ...]] = []
+    for row in range(len(vrep.values[0])):
+        sub = tuple(i for i in idxs if not vrep.values[i][row])
+        if not sub or apex in sub or len(sub) == len(idxs) or sub in seen:
+            continue
+        seen.add(sub)
+        if _rank([vrep.vertices[i] for i in sub], vrep.dim + 1) != k:
+            continue
+        for s in _fan(vrep, sub, k - 1, lex_min):
+            out.append(s + (apex,))
+    return out
 
 
 def integrate_over_simplex(

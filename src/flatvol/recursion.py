@@ -35,7 +35,11 @@ from .polytopes import Block, CascadePolytope, integrate, point_value
 
 @dataclass(frozen=True)
 class FlatValue:
-    """v at one weight vector, with the per-tree breakdown."""
+    """v at one weight vector, with one term per root star graph.
+
+    terms holds (StarGraph.encode(weights), sum of the graph's trees) for
+    every root graph in enumeration order, zero sums included.
+    """
 
     alpha: WeightVector
     i0: int
@@ -48,12 +52,12 @@ def evaluate(
     alpha: WeightVector,
     i0: int = 1,
     convention: ConventionFlags = DEFAULT_CONVENTION,
-    i0_policy: str = "smallest_marking",
+    i0_policy: str | None = None,
 ) -> FlatValue:
     """Exact value of v(alpha) with the i0-rooted graph sum.
 
-    Entries must be positive rationals summing to 2g-2+n.  The terms
-    field lists (tree ident, exact contribution), sorted by ident.
+    Entries must be positive rationals summing to 2g-2+n.  i0_policy goes
+    to flatten; under the default convention no term depends on it.
 
     A tree whose domain has no free coordinate is valued by point_value
     from its unmultiplied node factors.  The forced values of variables
@@ -64,17 +68,18 @@ def evaluate(
     """
     if i0 not in alpha.labels():
         raise ValueError(f"i0 = {i0} is not a marking label")
+    weights = alpha.weight_map()
     terms: list[tuple[str, Fraction]] = []
     for gph in enumerate_star_graphs(alpha.genus, alpha.labels(), i0):
         at: dict[int, Fraction] = {}
         factor_at: dict[int, Fraction] = {}
+        value = Fraction(0)
         for t in flatten(gph, alpha, convention, i0_policy):
             if t.domain.dimension():
-                value = integrate(t.factors, t.domain)
+                value += integrate(t.factors, t.domain)
             else:
-                value = point_value(t.factors, t.domain, at, factor_at)
-            terms.append((t.ident, value))
-    terms.sort()
+                value += point_value(t.factors, t.domain, at, factor_at)
+        terms.append((gph.encode(weights), value))
     total = sum((v for _, v in terms), Fraction(0))
     return FlatValue(alpha, i0, convention, total, tuple(terms))
 

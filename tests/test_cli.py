@@ -23,7 +23,7 @@ def test_eval_json_document(capsys):
     assert doc["convention"] == {"s_exponent": "shifted", "term_sign": "prefactor"}
     assert doc["v"] == "-1/2"
     assert abs(doc["volhat"] - 2.4674011002723395) < 1e-15
-    assert all(list(t) == ["tree", "value"] for t in doc["terms"])
+    assert all(list(t) == ["graph", "value"] for t in doc["terms"])
     total = sum(Fraction(t["value"]) for t in doc["terms"])
     assert total == Fraction(-1, 2)
 

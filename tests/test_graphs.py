@@ -3,7 +3,6 @@
 import hashlib
 import math
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,7 @@ from flatvol.graphs import (
     flatten,
     twist_multiplicity,
 )
-from flatvol.kernels import ALL_CONVENTIONS, kernel_A
+from flatvol.kernels import ALL_CONVENTIONS, DEFAULT_CONVENTION, kernel_A
 from flatvol.recursion import evaluate
 
 
@@ -238,7 +237,7 @@ def test_flatten_depth_two_has_closed_root_domain():
                          Fraction(1, 4), Fraction(1, 2)))
     nested = False
     for gph in enumerate_star_graphs(0, tuple(range(1, 6)), 3):
-        for t in flatten(gph, w):
+        for t in flatten(gph, w, i0_policy="smallest_marking"):
             for blk in t.domain.blocks:
                 # twist variables are engine ids, allocated without a stored name
                 assert all(var_name(v) == f"x{v}" for v in blk.vars)
@@ -246,70 +245,42 @@ def test_flatten_depth_two_has_closed_root_domain():
     assert nested
 
 
+def _tree_counts(w, convention=DEFAULT_CONVENTION):
+    gphs = enumerate_star_graphs(w.genus, w.labels(), 1)
+    return tuple(
+        sum(len(flatten(gph, w, convention, policy)) for gph in gphs)
+        for policy in (*I0_POLICIES, None)
+    )
+
+
 def test_i0_policy_picks_child_root():
-    # the value is policy independent, so pin the child root each policy
-    # picks: the smallest fixed leg, the largest, or the first new edge
-    w = WeightVector(1, (Fraction(5, 4), Fraction(5, 4), Fraction(1, 2)))
-    expected = {
-        "smallest_marking": [
-            "0[1,2,3]((1,1)1[e1])",
-            "0[1,2]((0,2)0[3,e1,e2])",
-            "0[1,2]((1,1)0[3,e1]((1,1)1[e1]))",
-            "0[1,2]((1,1)0[3]((0,2)0[e1,e2,e3]))",
-            "0[1,2]((1,1)1[3,e1])",
-            "0[1,3]((1,1)0[2,e1]((1,1)1[e1]))",
-            "0[1,3]((1,1)0[2]((0,2)0[e1,e2,e3]))",
-            "0[1,3]((1,1)1[2,e1])",
-            "0[1]((0,2)0[2,3,e1,e2])",
-            "0[1]((0,2)0[2,3]((0,1)0[e1,e2,e3]))",
-            "0[1]((0,2)0[2,e1]((0,1)0[3,e1,e2]))",
-            "0[1]((0,2)0[2,e1]((0,1)0[3,e1,e2]))",
-            "1[1,2,3]",
-        ],
-        "largest_marking": [
-            "0[1,2,3]((1,1)1[e1])",
-            "0[1,2]((0,2)0[3,e1,e2])",
-            "0[1,2]((1,1)0[3,e1]((1,1)1[e1]))",
-            "0[1,2]((1,1)0[3]((0,2)0[e1,e2,e3]))",
-            "0[1,2]((1,1)1[3,e1])",
-            "0[1,3]((1,1)0[2,e1]((1,1)1[e1]))",
-            "0[1,3]((1,1)0[2]((0,2)0[e1,e2,e3]))",
-            "0[1,3]((1,1)1[2,e1])",
-            "0[1]((0,2)0[2,3,e1,e2])",
-            "0[1]((0,2)0[2,3]((0,1)0[e1,e2,e3]))",
-            "0[1]((0,2)0[3,e1]((0,1)0[2,e1,e2]))",
-            "0[1]((0,2)0[3,e1]((0,1)0[2,e1,e2]))",
-            "1[1,2,3]",
-        ],
-        "edge_first": [
-            "0[1,2,3]((1,1)1[e1])",
-            "0[1,2]((0,2)0[3,e1,e2])",
-            "0[1,2]((1,1)0[3,e1]((1,1)1[e1]))",
-            "0[1,2]((1,1)0[e1]((0,2)0[3,e1,e2]))",
-            "0[1,2]((1,1)1[3,e1])",
-            "0[1,3]((1,1)0[2,e1]((1,1)1[e1]))",
-            "0[1,3]((1,1)1[2,e1])",
-            "0[1]((0,2)0[2,3,e1,e2])",
-            "0[1]((0,2)0[2,e1]((0,1)0[3,e1,e2]))",
-            "0[1]((0,2)0[3,e1]((0,1)0[2,e1,e2]))",
-            "1[1,2,3]",
-        ],
-    }
-    for policy, idents in expected.items():
-        assert [ident for ident, _ in evaluate(w, i0_policy=policy).terms] == idents
+    # each policy roots child graphs at a different marking, the smallest
+    # fixed leg, the largest, or the first new edge, and so builds its own
+    # tree set; the last count is flatten's default, edge_first under the
+    # default convention and smallest_marking under the others
+    assert _tree_counts(_weights(1, "1/2,2/3,5/6,4/3,7/6,3/2")) == (3567, 5169, 1016, 1016)
+    w = _weights(1, "5/4,5/4,1/2")
+    for conv in ALL_CONVENTIONS:
+        want = (10, 8, 7, 7) if conv == DEFAULT_CONVENTION else (13, 11, 10, 13)
+        assert _tree_counts(w, conv) == want, conv.key()
 
 
 def _weights(genus, text):
     return WeightVector(genus, tuple(Fraction(x) for x in text.split(",")))
 
 
-def _depth(ident):
-    """Nesting depth of a tree ident: 1 for a lone root node."""
-    depth = top = 0
-    for ch in re.sub(r"\(\d+,\d+\)", "", ident):
-        depth += {"(": 1, ")": -1}.get(ch, 0)
-        top = max(top, depth)
-    return top + 1
+def _depth(tree):
+    """Nesting depth of a tree read off its cascade: 1 for a lone root node.
+
+    A node's blocks have levels in the edge variables of its parent's
+    blocks, which come earlier, so the depth is one more than the longest
+    chain of blocks that each use a variable of the one before.
+    """
+    owner = {v: i for i, blk in enumerate(tree.domain.blocks) for v in blk.vars}
+    chain = []
+    for blk in tree.domain.blocks:
+        chain.append(1 + max((chain[owner[v]] for v in blk.level.vars), default=0))
+    return 1 + max(chain, default=0)
 
 
 def test_flatten_expands_each_vertex_type_once(monkeypatch):
@@ -324,34 +295,40 @@ def test_flatten_expands_each_vertex_type_once(monkeypatch):
 
     monkeypatch.setattr(graphs, "kernel_A", counting)
     w = _weights(0, "1/2,2/3,5/6,4/5,7/10,1/2")
-    trees = [t for gph in enumerate_star_graphs(0, w.labels(), 1) for t in flatten(gph, w)]
+    trees = [
+        t
+        for gph in enumerate_star_graphs(0, w.labels(), 1)
+        for t in flatten(gph, w, i0_policy="smallest_marking")
+    ]
     assert len(trees) == 71
     assert len(calls) == 109
 
 
-# sha256 prefixes of the "ident=value" list of evaluate(...).terms, per
-# point and convention, in I0_POLICIES order, recorded from a flattening
-# that expands every occurrence of a vertex type anew; each point repeats
-# a weight on two markings other than i0, so a subtree reused under the
-# wrong labels shows
+# sha256 prefixes of the "label=value" list of evaluate(...).terms, per
+# point and convention, in I0_POLICIES order.  They were recorded as each
+# root graph's sum of tree terms from a flattening without the empty-level
+# prune of blocks with inherited legs and without the zero-sum skip, so
+# the prunings leave every sum as it was.  Each point repeats a weight on
+# two markings other than i0, so a subtree reused under the wrong labels
+# shows; under the default convention the three policies agree.
 TERM_DIGESTS = {
     (1, "1/2,5/4,5/4"): {
-        "printed:printed": ("c74f4b4449f188d1", "c74f4b4449f188d1", "a70475ea1c145b84"),
-        "printed:prefactor": ("a86b7011cf068344", "a86b7011cf068344", "9d01ea747d8933d2"),
-        "shifted:printed": ("23c0f3c203602786", "23c0f3c203602786", "dd2f122c94a835da"),
-        "shifted:prefactor": ("9e0af4d5154232b4", "9e0af4d5154232b4", "6fec1b7299a937b7"),
+        "printed:printed": ("0750fcd5713152c3", "0750fcd5713152c3", "0cd49cd31aad1f23"),
+        "printed:prefactor": ("a7b0e38ad412839b", "a7b0e38ad412839b", "b56cdb993f5bf0d8"),
+        "shifted:printed": ("222d5998ad4fbf35", "222d5998ad4fbf35", "00e9098aa721bf0f"),
+        "shifted:prefactor": ("e532ea1800c5ba4f", "e532ea1800c5ba4f", "e532ea1800c5ba4f"),
     },
     (0, "1/2,2/3,2/3,4/5,7/10,2/3"): {
-        "printed:printed": ("f71e75a69b7069cc", "e1af4da0847565bc", "c2acf55028da7ec5"),
-        "printed:prefactor": ("4e3e1eb534324969", "53e12610f452cef9", "4c2382330dfd224f"),
-        "shifted:printed": ("f71e75a69b7069cc", "e1af4da0847565bc", "c2acf55028da7ec5"),
-        "shifted:prefactor": ("4e3e1eb534324969", "53e12610f452cef9", "4c2382330dfd224f"),
+        "printed:printed": ("1367a217c84db823", "094304933ddd142d", "05a93b7e74d14455"),
+        "printed:prefactor": ("5a834311db811169", "5a834311db811169", "5a834311db811169"),
+        "shifted:printed": ("1367a217c84db823", "094304933ddd142d", "05a93b7e74d14455"),
+        "shifted:prefactor": ("5a834311db811169", "5a834311db811169", "5a834311db811169"),
     },
     (2, "1/3,11/3"): {
-        "printed:printed": ("10cf78d4fee59707", "10cf78d4fee59707", "10cf78d4fee59707"),
-        "printed:prefactor": ("c857623b3b380885", "c857623b3b380885", "c857623b3b380885"),
-        "shifted:printed": ("aa5b601ac99985de", "aa5b601ac99985de", "aa5b601ac99985de"),
-        "shifted:prefactor": ("6e56d500adf8cc3d", "6e56d500adf8cc3d", "6e56d500adf8cc3d"),
+        "printed:printed": ("90154de1228a4fc3", "90154de1228a4fc3", "90154de1228a4fc3"),
+        "printed:prefactor": ("9563daaaae8a0023", "9563daaaae8a0023", "9563daaaae8a0023"),
+        "shifted:printed": ("436954755bb3a33b", "436954755bb3a33b", "436954755bb3a33b"),
+        "shifted:prefactor": ("1c5c7631f4093c91", "1c5c7631f4093c91", "1c5c7631f4093c91"),
     },
 }
 
@@ -363,19 +340,36 @@ def test_terms_pinned_under_all_conventions_and_policies(genus, entries):
         got = []
         for policy in I0_POLICIES:
             terms = evaluate(w, convention=conv, i0_policy=policy).terms
-            text = ";".join(f"{ident}={value}" for ident, value in terms)
+            text = ";".join(f"{label}={value}" for label, value in terms)
             got.append(hashlib.sha256(text.encode()).hexdigest()[:16])
         assert tuple(got) == TERM_DIGESTS[genus, entries][conv.key()], conv.key()
 
 
+@pytest.mark.parametrize(
+    "genus, entries",
+    [
+        (3, "4/7,53/13,214/91"),
+        (1, "1/2,2/3,5/6,4/3,7/6,3/2"),
+        (0, "1/2,2/3,5/6,4/5,7/10,1/2,5/6,7/6"),
+    ],
+)
+def test_term_labels_are_distinct(genus, entries):
+    # evaluate labels each root graph's term by its encoding at the weights
+    w = _weights(genus, entries)
+    labels = [gph.encode(w.weight_map()) for gph in enumerate_star_graphs(genus, w.labels(), 1)]
+    assert len(set(labels)) == len(labels)
+
+
 def test_reused_subtrees_stay_inside_their_domain():
     # a renamed subtree must carry this occurrence's edge ids: every
-    # integrand variable is a twist variable of the tree's own cascade
-    w = _weights(0, "1/2,2/3,5/6,4/5,7/10,1/2")
+    # integrand variable is a twist variable of the tree's own cascade.
+    # Edge-rooted children at the genus-0 point leave every grandchild
+    # level constant, so the genus-1 point supplies the nested levels.
     for policy in I0_POLICIES:
         depths = []
-        for gph in enumerate_star_graphs(0, w.labels(), 1):
-            for t in flatten(gph, w, i0_policy=policy):
-                assert {v for f in t.factors for v in f.vars} <= set(t.domain.variables), t.ident
-                depths.append(_depth(t.ident))
+        for w in (_weights(0, "1/2,2/3,5/6,4/5,7/10,1/2"), _weights(1, "1/3,1/2,5/4,23/12")):
+            for gph in enumerate_star_graphs(w.genus, w.labels(), 1):
+                for t in flatten(gph, w, i0_policy=policy):
+                    assert {v for f in t.factors for v in f.vars} <= set(t.domain.variables)
+                    depths.append(_depth(t))
         assert max(depths) >= 3, policy

@@ -1,9 +1,11 @@
 """Tests for the flat recursion, volume conversion, scans, and diagnostics."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -131,27 +133,32 @@ def test_genus0_closed_form_on_drawn_points(n, examples):
     ],
 )
 def test_tree_values_match_integrand_integrals(genus, entries, want):
-    # every tree of every root graph: its term in evaluate is the integral of
-    # the multiplied-out integrand, and a point tree's term is also checked
-    # against its forced point found by parametrize, 0 when a level is <= 0
+    # under every policy, each root graph's term in evaluate is the sum over
+    # its trees of the integral of the multiplied-out integrand, and a point
+    # tree's integral is also checked against its forced point found by
+    # parametrize, 0 when a level is <= 0
     w = _w(genus, *entries)
-    expected = []
     point_terms_nonzero = set()
-    for gph in enumerate_star_graphs(w.genus, w.labels(), 1):
-        for t in flatten(gph, w):
-            integrand = math.prod(t.factors)
-            value = integrate((integrand,), t.domain)
-            if not t.domain.dimension():
-                rows = parametrize(t.domain).rows
-                forced = {v: Fraction(b, s) for v, (b, _, s) in zip(t.domain.variables, rows)}
-                empty = any(x <= 0 for x in forced.values())
-                assert value == (0 if empty else integrand.evaluate(forced)), t.ident
-                point_terms_nonzero.add(value != 0)
-            expected.append((t.ident, value))
-    assert point_terms_nonzero == {False, True}
-    fv = evaluate(w)
-    assert fv.terms == tuple(sorted(expected))
-    assert fv.value == want
+    for policy in graphs.I0_POLICIES:
+        expected = []
+        for gph in enumerate_star_graphs(w.genus, w.labels(), 1):
+            total = Fraction(0)
+            for t in flatten(gph, w, i0_policy=policy):
+                integrand = math.prod(t.factors)
+                value = integrate((integrand,), t.domain)
+                if not t.domain.dimension():
+                    rows = parametrize(t.domain).rows
+                    forced = {v: Fraction(b, s) for v, (b, _, s) in zip(t.domain.variables, rows)}
+                    empty = any(x <= 0 for x in forced.values())
+                    assert value == (0 if empty else integrand.evaluate(forced)), gph.encode()
+                    point_terms_nonzero.add(value != 0)
+                total += value
+            expected.append((gph.encode(w.weight_map()), total))
+        assert evaluate(w, i0_policy=policy).terms == tuple(expected), policy
+    # zero and nonzero point trees, except at the genus-1 point, where the
+    # empty-level prune leaves no zero point tree
+    assert point_terms_nonzero == ({True} if genus == 1 else {False, True})
+    assert evaluate(w).value == want
 
 
 def _fixed(p, beta):
@@ -187,7 +194,7 @@ def test_outer_vertex_subtrees_sum_to_lower_volume(genus, entries, vertex):
         ids, subtrees = memo[vertex.genus, vertex.legs, 0, vertex.edges]
         beta = dict(zip(ids, betas))
         total = Fraction(0)
-        for factors, blocks, _ in subtrees:
+        for factors, blocks in subtrees:
             dom = CascadePolytope(tuple(Block(b.vars, _fixed(b.level, beta)) for b in blocks))
             total += integrate(tuple(_fixed(f, beta) for f in factors), dom)
         want = evaluate(WeightVector(vertex.genus, tuple(legs + betas))).value
@@ -197,11 +204,65 @@ def test_outer_vertex_subtrees_sum_to_lower_volume(genus, entries, vertex):
 
 
 def test_terms_sum_to_value():
+    # one term per root graph, zero or not, labelled by its encoding
+    values = []
     for w in (_w(0, "9/10", "3/10", "1/2", "3/10"), _w(1, "1/2", "3/2"), _w(2, "1/2", "7/2")):
         fv = evaluate(w)
         assert sum((v for _, v in fv.terms), Fraction(0)) == fv.value
-        idents = [ident for ident, _ in fv.terms]
-        assert idents == sorted(idents)
+        gphs = enumerate_star_graphs(w.genus, w.labels(), 1)
+        assert [label for label, _ in fv.terms] == [gph.encode(w.weight_map()) for gph in gphs]
+        values.extend(v for _, v in fv.terms)
+    assert 0 in values
+
+
+def _no_zero_sum_skip(monkeypatch):
+    monkeypatch.setattr(graphs, "_sums_to_zero", lambda graph, convention: False)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_one_marking_wall_value_is_zero(genus, monkeypatch):
+    # v_{g,1}(2g - 1) = 0 from every tree, the fact the zero-sum skip rests on
+    _no_zero_sum_skip(monkeypatch)
+    assert evaluate(_w(genus, 2 * genus - 1)).value == 0
+
+
+@pytest.mark.parametrize(
+    "genus, entries",
+    [
+        (1, ("5/4", "5/4", "1/2")),
+        (2, ("4/7", "9/7", "22/7")),
+        (3, ("5/3", "13/3")),
+    ],
+)
+def test_zero_sum_skip_drops_only_cancelling_trees(genus, entries, monkeypatch):
+    # with the skip off every root graph keeps its sum, so the extra trees
+    # sum to 0 per graph, and a skipped root graph's own trees sum to 0
+    w = _w(genus, *entries)
+    gphs = enumerate_star_graphs(genus, w.labels(), 1)
+    with_skip = evaluate(w).terms
+    trees = sum(len(flatten(gph, w)) for gph in gphs)
+    skipped = [
+        i for i, gph in enumerate(gphs) if graphs._sums_to_zero(gph, kernels.DEFAULT_CONVENTION)
+    ]
+    _no_zero_sum_skip(monkeypatch)
+    assert evaluate(w).terms == with_skip
+    assert sum(len(flatten(gph, w)) for gph in gphs) > trees
+    assert skipped and all(with_skip[i][1] == 0 for i in skipped)
+
+
+@pytest.mark.parametrize(
+    "genus, entries",
+    [
+        (1, ("5/4", "5/4", "1/2")),
+        (0, ("1/2", "2/3", "5/6", "4/5", "7/10", "1/2")),
+        (2, ("4/7", "9/7", "22/7")),
+        (3, ("5/3", "13/3")),
+    ],
+)
+def test_policies_agree_per_graph_under_default_convention(genus, entries):
+    w = _w(genus, *entries)
+    terms = {policy: evaluate(w, i0_policy=policy).terms for policy in graphs.I0_POLICIES}
+    assert terms["smallest_marking"] == terms["largest_marking"] == terms["edge_first"]
 
 
 def test_genus1_slice_closed_form():
@@ -315,6 +376,40 @@ def test_state_stays_bounded():
             after_warmup = len(kernels._KERNEL_CACHE)
     assert len(kernels._KERNEL_CACHE) == after_warmup
     assert len(exact._NAMES) == names
+
+
+def test_evaluation_leaves_no_cyclic_garbage():
+    # triangulation and graph enumeration free what they build on return,
+    # so nothing waits for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        evaluate(_w(3, "5/3", "13/3"))
+        evaluate(_w(1, "1/2", "2/3", "5/6", "4/3", "7/6", "3/2"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_traced_memory_stays_bounded():
+    # after ten warm-up evaluations of one point, thirty more hold no more
+    # memory and add no kernel-cache entry
+    w = _w(1, "1/3", "1/2", "5/4", "23/12")
+    for _ in range(10):
+        evaluate(w)
+    cache = len(kernels._KERNEL_CACHE)
+    tracemalloc.start()
+    try:
+        held = []
+        for rounds in (0, 15, 15):
+            for _ in range(rounds):
+                evaluate(w)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert max(held) - held[0] <= 4096, held
+    assert len(kernels._KERNEL_CACHE) == cache
 
 
 def test_scan_memo(monkeypatch):
