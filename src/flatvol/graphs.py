@@ -18,8 +18,9 @@ polynomial per tree node, in the edge variables, and a cascade of twist
 blocks, with block level 2g_j - 2 + n_j + e_j - sum of leg weights.  The
 factors are never multiplied here; trees that share a node share its
 factor object, and integrate multiplies them on a full-dimensional domain.
-Within one flatten call each vertex type is expanded once; a later
-vertex of the same type gets that expansion with its variables renamed.
+Each vertex type is expanded once per FlattenState, which evaluate
+shares across the root graphs of one weight vector; a later vertex of
+the same type gets that expansion with its variables renamed.
 A graph is dropped before its kernel is expanded when a block's domain
 is empty or, under the default convention, when its trees cancel; the
 trees are internal, and evaluate reports one sum per root graph.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
@@ -306,11 +307,9 @@ class DomainInfo:
 
 def domain_of(graph: StarGraph, weights: Mapping[Label, Fraction]) -> DomainInfo:
     """Per-outer-vertex levels c_j = 2g_j-2+n_j+e_j - sum of leg weights."""
-    levels = []
-    for ov in graph.outer:
-        c = Fraction(ov.euler) - sum((Fraction(weights[l]) for l in ov.legs), Fraction(0))
-        levels.append(c)
-    return DomainInfo(tuple(levels))
+    return DomainInfo(
+        tuple(ov.euler - sum(weights[l] for l in ov.legs) for ov in graph.outer)
+    )
 
 
 def enumerate_k_twists(
@@ -394,11 +393,27 @@ def _sums_to_zero(graph: StarGraph, convention: ConventionFlags) -> bool:
 Subtree = tuple[tuple[MultiPoly, ...], tuple[Block, ...]]
 
 # A vertex type is (genus, fixed marking labels, number of inherited edge
-# legs, number of new edges); a label fixes its weight within one flatten
-# call.  Its memo entry holds the ids the expansion was built on, slots
-# first and then internal edges, with the subtrees.
+# legs, number of new edges); a label fixes its weight within one
+# FlattenState.  Its memo entry holds the ids the expansion was built on,
+# slots first and then internal edges, with the subtrees.
 VertexType = tuple[int, tuple[int, ...], int, int]
 Template = tuple[tuple[int, ...], list[Subtree]]
+
+
+@dataclass(eq=False, slots=True)
+class FlattenState:
+    """What flatten reuses across root graphs: the vertex-type memo, the
+    constant weight map and the sum of the fixed leg weights per leg tuple.
+
+    key is the (weight vector, convention, resolved child-root policy)
+    that the first flatten call fills it under; flatten refuses it under
+    any other key, since the memo's subtrees hold that key's weights.
+    """
+
+    key: tuple[WeightVector, ConventionFlags, str] | None = None
+    wmap: dict[Label, MultiPoly] = field(default_factory=dict)
+    fixed_sums: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
+    memo: dict[VertexType, Template] = field(default_factory=dict)
 
 
 def _renamed(template: Template, slots: tuple[int, ...]) -> list[Subtree]:
@@ -439,12 +454,10 @@ def _renamed(template: Template, slots: tuple[int, ...]) -> list[Subtree]:
 
 
 def _expand_graph(
-    graph: StarGraph,
-    wmap: dict[Label, MultiPoly],
-    convention: ConventionFlags,
-    policy: str,
-    memo: dict[VertexType, Template],
+    graph: StarGraph, wmap: dict[Label, MultiPoly], state: FlattenState
 ) -> list[Subtree]:
+    _, convention, policy = state.key
+    memo, fixed_sums = state.memo, state.fixed_sums
     if _sums_to_zero(graph, convention):
         return []
     # fresh twist variables, grouped per outer vertex
@@ -462,7 +475,10 @@ def _expand_graph(
     for ov, vars_j in zip(graph.outer, edge_vars):
         fixed = tuple(l for l in ov.legs if isinstance(l, int))
         inherited = tuple(l[1] for l in ov.legs if not isinstance(l, int))
-        c = ov.euler - sum(wmap[l].constant_value() for l in fixed)
+        s = fixed_sums.get(fixed)
+        if s is None:
+            s = fixed_sums[fixed] = sum(wmap[l].constant_value() for l in fixed)
+        c = ov.euler - s
         if c <= 0:
             return []
         blocks.append(Block(vars_j, MultiPoly.affine(c, dict.fromkeys(inherited, -1))))
@@ -499,7 +515,7 @@ def _expand_graph(
             ci0 = _child_i0(child_markings, edge_labels, policy)
             subtrees = []
             for sub in enumerate_star_graphs(ov.genus, child_markings, ci0):
-                subtrees.extend(_expand_graph(sub, child_wmap, convention, policy, memo))
+                subtrees.extend(_expand_graph(sub, child_wmap, state))
             inner = sorted({v for _, bs in subtrees for blk in bs for v in blk.vars})
             memo[key] = (slot_ids + tuple(inner), subtrees)
         if not subtrees:
@@ -522,6 +538,7 @@ def flatten(
     alpha: WeightVector,
     convention: ConventionFlags = DEFAULT_CONVENTION,
     i0_policy: str | None = None,
+    state: FlattenState | None = None,
 ) -> list[StarTree]:
     """Flatten one root star graph at a numeric weight vector.
 
@@ -530,15 +547,27 @@ def flatten(
     picks each child graph's root; None means edge_first under the
     default convention, where v does not depend on it, and
     smallest_marking under every other convention.
+
+    state holds the vertex-type expansions of earlier calls under the same
+    weight vector, convention and resolved policy, and ValueError refuses
+    it under any other; reusing them changes no tree's value.  None means
+    a fresh state, so a vertex type is expanded once per call.
     """
     if i0_policy is None:
         i0_policy = "edge_first" if convention == DEFAULT_CONVENTION else "smallest_marking"
     if i0_policy not in I0_POLICIES:
         raise ValueError(f"unknown i0 policy {i0_policy!r}")
-    wmap = {l: MultiPoly.const(w) for l, w in alpha.weight_map().items()}
     if graph.genus != alpha.genus or set(graph.markings) != set(alpha.labels()):
         raise ValueError("graph does not match the weight vector")
+    key = (alpha, convention, i0_policy)
+    if state is None:
+        state = FlattenState()
+    if state.key is None:
+        state.key = key
+        state.wmap = {l: MultiPoly.const(w) for l, w in alpha.weight_map().items()}
+    elif state.key != key:
+        raise ValueError("flatten state belongs to another weight vector, convention or policy")
     return [
         StarTree(factors, CascadePolytope(blocks))
-        for factors, blocks in _expand_graph(graph, wmap, convention, i0_policy, {})
+        for factors, blocks in _expand_graph(graph, state.wmap, state)
     ]

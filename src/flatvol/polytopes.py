@@ -366,7 +366,8 @@ def point_value(
     its value there) are memos that this call fills.  Cascades may share
     them only while each shared variable has the same forced value in
     all of them and the factor objects stay alive, as among the trees of
-    one flatten call, where every variable belongs to exactly one block.
+    one flatten call, where every variable belongs to exactly one block;
+    a flatten state shared across root graphs renames each reuse anew.
     """
     for blk in dom.blocks:
         (vid,) = blk.vars

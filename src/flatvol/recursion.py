@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 from .exact import MultiPoly, common_denominator, fresh_var
 from .graphs import (
+    FlattenState,
     WeightVector,
     domain_of,
     enumerate_k_twists,
@@ -57,7 +58,9 @@ def evaluate(
     """Exact value of v(alpha) with the i0-rooted graph sum.
 
     Entries must be positive rationals summing to 2g-2+n.  i0_policy goes
-    to flatten; under the default convention no term depends on it.
+    to flatten; under the default convention no term depends on it.  All
+    root graphs share one FlattenState, dropped on return, so each lower
+    vertex type is expanded once per evaluation.
 
     A tree whose domain has no free coordinate is valued by point_value
     from its unmultiplied node factors.  The forced values of variables
@@ -69,12 +72,13 @@ def evaluate(
     if i0 not in alpha.labels():
         raise ValueError(f"i0 = {i0} is not a marking label")
     weights = alpha.weight_map()
+    state = FlattenState()
     terms: list[tuple[str, Fraction]] = []
     for gph in enumerate_star_graphs(alpha.genus, alpha.labels(), i0):
         at: dict[int, Fraction] = {}
         factor_at: dict[int, Fraction] = {}
         value = Fraction(0)
-        for t in flatten(gph, alpha, convention, i0_policy):
+        for t in flatten(gph, alpha, convention, i0_policy, state):
             if t.domain.dimension():
                 value += integrate(t.factors, t.domain)
             else:

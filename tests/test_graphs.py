@@ -21,6 +21,7 @@ from flatvol.graphs import (
     twist_multiplicity,
 )
 from flatvol.kernels import ALL_CONVENTIONS, DEFAULT_CONVENTION, kernel_A
+from flatvol.polytopes import integrate
 from flatvol.recursion import evaluate
 
 
@@ -302,6 +303,55 @@ def test_flatten_expands_each_vertex_type_once(monkeypatch):
     ]
     assert len(trees) == 71
     assert len(calls) == 109
+
+
+def test_evaluate_expands_each_vertex_type_once(monkeypatch):
+    # evaluate shares one flatten state across its root graphs, so each
+    # lower vertex type is expanded once per evaluation: a state made anew
+    # per root graph makes 109 kernel calls here, and 21 under edge_first
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return kernel_A(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "kernel_A", counting)
+    w = _weights(0, "1/2,2/3,5/6,4/5,7/10,1/2")
+    counts = []
+    for policy in ("smallest_marking", None):
+        calls.clear()
+        evaluate(w, i0_policy=policy)
+        counts.append(len(calls))
+    assert counts == [70, 17]
+
+
+def _tree_values(w, **kwargs):
+    return [
+        [(len(t.factors), len(t.domain.blocks), integrate(t.factors, t.domain))
+         for t in flatten(gph, w, **kwargs)]
+        for gph in enumerate_star_graphs(w.genus, w.labels(), 1)
+    ]
+
+
+def test_flatten_state_is_refused_under_another_triple():
+    # a state holds subtrees built at one weight vector, convention and
+    # child-root policy, so any other triple must not reuse them
+    w = _weights(0, "1/2,2/3,5/6,4/5,7/10,1/2")
+    state = graphs.FlattenState()
+    filled = _tree_values(w, i0_policy="smallest_marking", state=state)
+    assert state.memo
+    gph = enumerate_star_graphs(0, w.labels(), 1)[0]
+    other = _weights(0, "1/2,2/3,5/6,4/5,1/2,7/10")
+    for args in (
+        (other, DEFAULT_CONVENTION, "smallest_marking"),
+        (w, ALL_CONVENTIONS[0], "smallest_marking"),
+        (w, DEFAULT_CONVENTION, None),  # edge_first under this convention
+    ):
+        with pytest.raises(ValueError, match="flatten state"):
+            flatten(gph, *args, state)
+    # back at the first triple the filled state gives the fresh trees
+    fresh = _tree_values(w, i0_policy="smallest_marking")
+    assert _tree_values(w, i0_policy="smallest_marking", state=state) == filled == fresh
 
 
 # sha256 prefixes of the "label=value" list of evaluate(...).terms, per

@@ -179,7 +179,6 @@ def test_outer_vertex_subtrees_sum_to_lower_volume(genus, entries, vertex):
     # beta substituted into their factors and levels, integrate in sum to
     # v at the vertex's genus and weights (alpha on its legs, beta)
     w = _w(genus, *entries)
-    wmap = {l: exact.MultiPoly.const(x) for l, x in w.weight_map().items()}
     legs = [w.weight_map()[l] for l in vertex.legs]
     level = vertex.euler - sum(legs)
     shares = range(2, vertex.edges + 2)
@@ -188,10 +187,10 @@ def test_outer_vertex_subtrees_sum_to_lower_volume(genus, entries, vertex):
     for gph in enumerate_star_graphs(w.genus, w.labels(), 1):
         if vertex not in gph.outer:
             continue
-        memo = {}
-        graphs._expand_graph(gph, wmap, kernels.DEFAULT_CONVENTION, "smallest_marking", memo)
+        state = graphs.FlattenState()
+        flatten(gph, w, kernels.DEFAULT_CONVENTION, "smallest_marking", state)
         # a root vertex type has no inherited legs; its ids start with its edges
-        ids, subtrees = memo[vertex.genus, vertex.legs, 0, vertex.edges]
+        ids, subtrees = state.memo[vertex.genus, vertex.legs, 0, vertex.edges]
         beta = dict(zip(ids, betas))
         total = Fraction(0)
         for factors, blocks in subtrees:
