@@ -17,6 +17,7 @@ from .exact import (
 )
 from .graphs import (
     DomainInfo,
+    FlattenState,
     OuterVertex,
     StarGraph,
     StarTree,
@@ -63,6 +64,7 @@ __all__ = [
     "DEFAULT_CONVENTION",
     "DomainInfo",
     "FlatValue",
+    "FlattenState",
     "MultiPoly",
     "OuterVertex",
     "PRINTED_CONVENTION",

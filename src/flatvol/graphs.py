@@ -18,9 +18,10 @@ polynomial per tree node, in the edge variables, and a cascade of twist
 blocks, with block level 2g_j - 2 + n_j + e_j - sum of leg weights.  The
 factors are never multiplied here; trees that share a node share its
 factor object, and integrate multiplies them on a full-dimensional domain.
-Each vertex type is expanded once per FlattenState, which evaluate
-shares across the root graphs of one weight vector; a later vertex of
-the same type gets that expansion with its variables renamed.
+A FlattenState is built from one weight vector, convention and
+child-root policy, and evaluate passes one to every root graph; each
+vertex type is expanded once per state, and a later vertex of the same
+type gets that expansion with its variables renamed.
 A graph is dropped before its kernel is expanded when a block's domain
 is empty or, under the default convention, when its trees cancel; the
 trees are internal, and evaluate reports one sum per root graph.
@@ -269,6 +270,8 @@ def enumerate_star_graphs(
 
     Canonical outer ordering, duplicate free, deterministic order.
     """
+    if genus < 0:
+        raise ValueError("genus must be >= 0")
     ms = tuple(sorted(markings, key=label_key))
     if len(set(ms)) != len(ms):
         raise ValueError("marking labels must be distinct")
@@ -402,18 +405,31 @@ Template = tuple[tuple[int, ...], list[Subtree]]
 
 @dataclass(eq=False, slots=True)
 class FlattenState:
-    """What flatten reuses across root graphs: the vertex-type memo, the
-    constant weight map and the sum of the fixed leg weights per leg tuple.
+    """The flattening of one weight vector under one convention and child-root
+    policy: the constant weight map, the sum of the fixed leg weights per
+    leg tuple and the vertex-type memo that flatten fills.
 
-    key is the (weight vector, convention, resolved child-root policy)
-    that the first flatten call fills it under; flatten refuses it under
-    any other key, since the memo's subtrees hold that key's weights.
+    i0_policy picks each child graph's root; None means edge_first under
+    the default convention, where v does not depend on it, and
+    smallest_marking under every other convention.  evaluate builds one
+    state per call and passes it to every root graph's flatten call, so
+    each vertex type is expanded once per state.
     """
 
-    key: tuple[WeightVector, ConventionFlags, str] | None = None
-    wmap: dict[Label, MultiPoly] = field(default_factory=dict)
-    fixed_sums: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
-    memo: dict[VertexType, Template] = field(default_factory=dict)
+    alpha: WeightVector
+    convention: ConventionFlags = DEFAULT_CONVENTION
+    i0_policy: str | None = None
+    wmap: dict[Label, MultiPoly] = field(init=False)
+    fixed_sums: dict[tuple[int, ...], Fraction] = field(init=False, default_factory=dict)
+    memo: dict[VertexType, Template] = field(init=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.i0_policy is None:
+            default = self.convention == DEFAULT_CONVENTION
+            self.i0_policy = "edge_first" if default else "smallest_marking"
+        if self.i0_policy not in I0_POLICIES:
+            raise ValueError(f"unknown i0 policy {self.i0_policy!r}")
+        self.wmap = {l: MultiPoly.const(w) for l, w in self.alpha.weight_map().items()}
 
 
 def _renamed(template: Template, slots: tuple[int, ...]) -> list[Subtree]:
@@ -456,8 +472,7 @@ def _renamed(template: Template, slots: tuple[int, ...]) -> list[Subtree]:
 def _expand_graph(
     graph: StarGraph, wmap: dict[Label, MultiPoly], state: FlattenState
 ) -> list[Subtree]:
-    _, convention, policy = state.key
-    memo, fixed_sums = state.memo, state.fixed_sums
+    convention, memo, fixed_sums = state.convention, state.memo, state.fixed_sums
     if _sums_to_zero(graph, convention):
         return []
     # fresh twist variables, grouped per outer vertex
@@ -512,7 +527,7 @@ def _expand_graph(
             for lab, vid in zip(edge_labels, vars_j):
                 child_wmap[lab] = MultiPoly.variable(vid)
             child_markings = tuple(child_wmap)
-            ci0 = _child_i0(child_markings, edge_labels, policy)
+            ci0 = _child_i0(child_markings, edge_labels, state.i0_policy)
             subtrees = []
             for sub in enumerate_star_graphs(ov.genus, child_markings, ci0):
                 subtrees.extend(_expand_graph(sub, child_wmap, state))
@@ -533,40 +548,17 @@ def _expand_graph(
     return out
 
 
-def flatten(
-    graph: StarGraph,
-    alpha: WeightVector,
-    convention: ConventionFlags = DEFAULT_CONVENTION,
-    i0_policy: str | None = None,
-    state: FlattenState | None = None,
-) -> list[StarTree]:
-    """Flatten one root star graph at a numeric weight vector.
+def flatten(graph: StarGraph, state: FlattenState) -> list[StarTree]:
+    """Flatten one root star graph at the state's weight vector.
 
     Returns one StarTree per combination of nested expansions, without
-    the graphs whose trees cancel or whose domain is empty.  i0_policy
-    picks each child graph's root; None means edge_first under the
-    default convention, where v does not depend on it, and
-    smallest_marking under every other convention.
-
-    state holds the vertex-type expansions of earlier calls under the same
-    weight vector, convention and resolved policy, and ValueError refuses
-    it under any other; reusing them changes no tree's value.  None means
-    a fresh state, so a vertex type is expanded once per call.
+    the graphs whose trees cancel or whose domain is empty.  Vertex types
+    expanded by earlier calls with the same state are reused with renamed
+    variables, which changes no tree's value.
     """
-    if i0_policy is None:
-        i0_policy = "edge_first" if convention == DEFAULT_CONVENTION else "smallest_marking"
-    if i0_policy not in I0_POLICIES:
-        raise ValueError(f"unknown i0 policy {i0_policy!r}")
+    alpha = state.alpha
     if graph.genus != alpha.genus or set(graph.markings) != set(alpha.labels()):
         raise ValueError("graph does not match the weight vector")
-    key = (alpha, convention, i0_policy)
-    if state is None:
-        state = FlattenState()
-    if state.key is None:
-        state.key = key
-        state.wmap = {l: MultiPoly.const(w) for l, w in alpha.weight_map().items()}
-    elif state.key != key:
-        raise ValueError("flatten state belongs to another weight vector, convention or policy")
     return [
         StarTree(factors, CascadePolytope(blocks))
         for factors, blocks in _expand_graph(graph, state.wmap, state)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .exact import MultiPoly, TruncatedSeries, fresh_var
+from .exact import MultiPoly, TruncatedSeries
 
 _S_EXPONENTS = ("printed", "shifted")
 _TERM_SIGNS = ("printed", "prefactor")
@@ -97,11 +97,6 @@ def series_zlogS(order: int) -> TruncatedSeries:
 Slot = Union[Fraction, int, MultiPoly]
 
 
-# One entry per vertex shape: the canonical slot variable ids and the body
-# expanded over them.
-_KERNEL_CACHE: dict[tuple[int, int, int, int], tuple[tuple[int, ...], MultiPoly]] = {}
-
-
 def _kernel_body(genus: int, slots: tuple[MultiPoly, ...], i0: int, exponent: int) -> MultiPoly:
     """[u^g] exp(sum_k c_k u^k) by m e_m = sum_k k c_k e_{m-k}; see the module docstring."""
     zlogs = series_zlogS(2 * genus).coeffs
@@ -128,7 +123,9 @@ def kernel_A(
     slots are fixed rationals or polynomials in formal variables; i0
     indexes the distinguished slot.  The result is a polynomial in the
     formal slots (a constant when every slot is a fixed rational) of
-    total degree <= 2*genus, even in every slot other than i0.
+    total degree <= 2*genus, even in every slot other than i0.  The body
+    is expanded on these slots at every call and nothing is cached;
+    flatten asks for each vertex type's kernel once per FlattenState.
     """
     if genus < 0:
         raise ValueError("vertex genus must be >= 0")
@@ -138,17 +135,7 @@ def kernel_A(
     exponent = convention.slot_exponent(genus, len(coerced))
     if exponent < 0:
         raise ValueError("slot exponent is negative, vertex is unstable")
-
-    # The body is a polynomial in the slot values: expand it once per shape
-    # over canonical slot variables, then substitute this call's slots.
-    key = (genus, len(coerced), i0, exponent)
-    entry = _KERNEL_CACHE.get(key)
-    if entry is None:
-        canon = tuple(fresh_var() for _ in coerced)
-        body = _kernel_body(genus, tuple(MultiPoly.variable(v) for v in canon), i0, exponent)
-        entry = _KERNEL_CACHE[key] = (canon, body)
-    canon, body = entry
-    return body.substitute(dict(zip(canon, coerced)))
+    return _kernel_body(genus, coerced, i0, exponent)
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,10 @@ def evaluate(
     """Exact value of v(alpha) with the i0-rooted graph sum.
 
     Entries must be positive rationals summing to 2g-2+n.  i0_policy goes
-    to flatten; under the default convention no term depends on it.  All
-    root graphs share one FlattenState, dropped on return, so each lower
-    vertex type is expanded once per evaluation.
+    to FlattenState; under the default convention no term depends on it.
+    One state is built per call and flattens every root graph, so each
+    lower vertex type is expanded once per evaluation; it is dropped on
+    return.
 
     A tree whose domain has no free coordinate is valued by point_value
     from its unmultiplied node factors.  The forced values of variables
@@ -72,13 +73,13 @@ def evaluate(
     if i0 not in alpha.labels():
         raise ValueError(f"i0 = {i0} is not a marking label")
     weights = alpha.weight_map()
-    state = FlattenState()
+    state = FlattenState(alpha, convention, i0_policy)
     terms: list[tuple[str, Fraction]] = []
     for gph in enumerate_star_graphs(alpha.genus, alpha.labels(), i0):
         at: dict[int, Fraction] = {}
         factor_at: dict[int, Fraction] = {}
         value = Fraction(0)
-        for t in flatten(gph, alpha, convention, i0_policy, state):
+        for t in flatten(gph, state):
             if t.domain.dimension():
                 value += integrate(t.factors, t.domain)
             else:
@@ -177,7 +178,9 @@ def scan(
     Rows on a wall, shorter chambers, lines lying inside a wall and every
     row under another convention are evaluated directly.
     """
-    if base is None or direction is None:
+    if (base is None) != (direction is None):
+        raise ValueError("pass both base and direction, or neither")
+    if base is None:
         if n != 2:
             raise ValueError("default scan slice needs n = 2; pass base and direction")
         if genus < 1:

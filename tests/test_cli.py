@@ -58,6 +58,16 @@ def test_exit_code_2_paths(capsys):
     # riemann refuses k that leaves a twist level non-integral
     code, _, err = _run(capsys, "riemann", "--g", "1", "--alpha", "3/2,1/2", "--k", "3")
     assert code == 2 and err.startswith("error:")
+    # scan needs both base and direction, or neither
+    for opt, value in (("--base", "1/4,7/4"), ("--direction", "1,-1")):
+        code, out, err = _run(capsys, "scan", "--g", "1", "--steps", "3", opt, value)
+        assert code == 2 and out == ""
+        assert err == "error: pass both base and direction, or neither\n"
+    # graph enumeration refuses a negative genus, as eval does
+    for fmt in ("text", "json"):
+        code, out, err = _run(capsys, "graphs", "--g", "-1", "--n", "5", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == "error: genus must be >= 0\n"
 
 
 def test_byte_stable_output(capsys):

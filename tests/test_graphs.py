@@ -11,6 +11,7 @@ from flatvol import graphs
 from flatvol.exact import var_name
 from flatvol.graphs import (
     I0_POLICIES,
+    FlattenState,
     OuterVertex,
     StarGraph,
     WeightVector,
@@ -183,7 +184,7 @@ def test_flatten_base_leaf():
     w = WeightVector(0, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
     graphs = enumerate_star_graphs(0, (1, 2, 3), 1)
     assert len(graphs) == 1
-    trees = flatten(graphs[0], w)
+    trees = flatten(graphs[0], FlattenState(w))
     assert len(trees) == 1
     t = trees[0]
     assert t.domain.blocks == ()
@@ -200,7 +201,7 @@ def test_flatten_two_edge_block():
     gph = next(
         g for g in graphs if g.outer and g.outer[0].edges == 2 and g.outer[0].legs == (1,)
     )
-    trees = flatten(gph, w)
+    trees = flatten(gph, FlattenState(w))
     assert len(trees) == 1
     t = trees[0]
     assert len(t.domain.blocks) == 1
@@ -220,14 +221,21 @@ def test_flatten_prunes_empty_domains():
     w = WeightVector(0, (Fraction(1, 5), Fraction(3, 5), Fraction(3, 5), Fraction(3, 5)))
     graphs = enumerate_star_graphs(0, (1, 2, 3, 4), 1)
     gph = next(g for g in graphs if g.outer and g.outer[0].legs == (2, 3))
-    assert flatten(gph, w) == []
+    assert flatten(gph, FlattenState(w)) == []
 
 
 def test_flatten_unknown_policy():
     w = WeightVector(0, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-    graphs = enumerate_star_graphs(0, (1, 2, 3), 1)
-    with pytest.raises(ValueError):
-        flatten(graphs[0], w, i0_policy="nope")
+    with pytest.raises(ValueError, match="unknown i0 policy"):
+        FlattenState(w, i0_policy="nope")
+
+
+def test_flatten_refuses_a_graph_of_another_weight_vector():
+    # a graph of another genus, then one with another marking set
+    state = FlattenState(_weights(1, "1/2,3/2"))
+    for gph in (enumerate_star_graphs(2, (1, 2), 1)[0], enumerate_star_graphs(1, (1, 3), 1)[0]):
+        with pytest.raises(ValueError, match="does not match the weight vector"):
+            flatten(gph, state)
 
 
 def test_flatten_depth_two_has_closed_root_domain():
@@ -238,7 +246,7 @@ def test_flatten_depth_two_has_closed_root_domain():
                          Fraction(1, 4), Fraction(1, 2)))
     nested = False
     for gph in enumerate_star_graphs(0, tuple(range(1, 6)), 3):
-        for t in flatten(gph, w, i0_policy="smallest_marking"):
+        for t in flatten(gph, FlattenState(w, i0_policy="smallest_marking")):
             for blk in t.domain.blocks:
                 # twist variables are engine ids, allocated without a stored name
                 assert all(var_name(v) == f"x{v}" for v in blk.vars)
@@ -249,7 +257,7 @@ def test_flatten_depth_two_has_closed_root_domain():
 def _tree_counts(w, convention=DEFAULT_CONVENTION):
     gphs = enumerate_star_graphs(w.genus, w.labels(), 1)
     return tuple(
-        sum(len(flatten(gph, w, convention, policy)) for gph in gphs)
+        sum(len(flatten(gph, FlattenState(w, convention, policy))) for gph in gphs)
         for policy in (*I0_POLICIES, None)
     )
 
@@ -299,7 +307,7 @@ def test_flatten_expands_each_vertex_type_once(monkeypatch):
     trees = [
         t
         for gph in enumerate_star_graphs(0, w.labels(), 1)
-        for t in flatten(gph, w, i0_policy="smallest_marking")
+        for t in flatten(gph, FlattenState(w, i0_policy="smallest_marking"))
     ]
     assert len(trees) == 71
     assert len(calls) == 109
@@ -325,33 +333,24 @@ def test_evaluate_expands_each_vertex_type_once(monkeypatch):
     assert counts == [70, 17]
 
 
-def _tree_values(w, **kwargs):
+def _tree_values(w, state_for):
     return [
         [(len(t.factors), len(t.domain.blocks), integrate(t.factors, t.domain))
-         for t in flatten(gph, w, **kwargs)]
+         for t in flatten(gph, state_for())]
         for gph in enumerate_star_graphs(w.genus, w.labels(), 1)
     ]
 
 
-def test_flatten_state_is_refused_under_another_triple():
-    # a state holds subtrees built at one weight vector, convention and
-    # child-root policy, so any other triple must not reuse them
+def test_filled_flatten_state_gives_fresh_trees():
+    # one state across the root graphs reuses the vertex types of earlier
+    # graphs, and every graph gets the trees a fresh state gives it, also
+    # once the state holds every vertex type
     w = _weights(0, "1/2,2/3,5/6,4/5,7/10,1/2")
-    state = graphs.FlattenState()
-    filled = _tree_values(w, i0_policy="smallest_marking", state=state)
+    state = FlattenState(w, i0_policy="smallest_marking")
+    filled = _tree_values(w, lambda: state)
     assert state.memo
-    gph = enumerate_star_graphs(0, w.labels(), 1)[0]
-    other = _weights(0, "1/2,2/3,5/6,4/5,1/2,7/10")
-    for args in (
-        (other, DEFAULT_CONVENTION, "smallest_marking"),
-        (w, ALL_CONVENTIONS[0], "smallest_marking"),
-        (w, DEFAULT_CONVENTION, None),  # edge_first under this convention
-    ):
-        with pytest.raises(ValueError, match="flatten state"):
-            flatten(gph, *args, state)
-    # back at the first triple the filled state gives the fresh trees
-    fresh = _tree_values(w, i0_policy="smallest_marking")
-    assert _tree_values(w, i0_policy="smallest_marking", state=state) == filled == fresh
+    fresh = _tree_values(w, lambda: FlattenState(w, i0_policy="smallest_marking"))
+    assert _tree_values(w, lambda: state) == filled == fresh
 
 
 # sha256 prefixes of the "label=value" list of evaluate(...).terms, per
@@ -419,7 +418,7 @@ def test_reused_subtrees_stay_inside_their_domain():
         depths = []
         for w in (_weights(0, "1/2,2/3,5/6,4/5,7/10,1/2"), _weights(1, "1/3,1/2,5/4,23/12")):
             for gph in enumerate_star_graphs(w.genus, w.labels(), 1):
-                for t in flatten(gph, w, i0_policy=policy):
+                for t in flatten(gph, FlattenState(w, i0_policy=policy)):
                     assert {v for f in t.factors for v in f.vars} <= set(t.domain.variables)
                     depths.append(_depth(t))
         assert max(depths) >= 3, policy

@@ -12,7 +12,6 @@ from flatvol.kernels import (
     DEFAULT_CONVENTION,
     PRINTED_CONVENTION,
     ConventionFlags,
-    _kernel_body,
     aab_table,
     det_factor_forms,
     kernel_A,
@@ -101,9 +100,9 @@ def test_kernel_symbolic_matches_closed_form():
     assert body2 == expected2
 
 
-def test_kernel_cache_consistency():
-    # bodies are cached per vertex shape and substituted per call; every
-    # slot form must agree with a direct expansion and with constant slots
+def test_kernel_slot_forms_agree_with_constant_slots():
+    # a kernel in formal slots, evaluated at a point, equals the kernel of
+    # the slots' values there, for every slot form and distinguished slot
     x, y = fresh_var("cx"), fresh_var("cy")
     px, py = MultiPoly.variable(x), MultiPoly.variable(y)
     slots = (px * Fraction(-1), py)
@@ -129,8 +128,6 @@ def test_kernel_cache_consistency():
             at_pt = tuple(MultiPoly.const(w.evaluate(pt)) for w in case)
             for i0 in range(len(case)):
                 kp = kernel_A(genus, case, i0, convention=DEFAULT_CONVENTION)
-                exponent = DEFAULT_CONVENTION.slot_exponent(genus, len(case))
-                assert kp == _kernel_body(genus, case, i0, exponent)
                 const = kernel_A(genus, at_pt, i0, convention=DEFAULT_CONVENTION)
                 assert kp.evaluate(pt) == const.constant_value()
 

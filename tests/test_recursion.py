@@ -13,7 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatvol import exact, graphs, kernels, recursion
-from flatvol.graphs import OuterVertex, WeightVector, enumerate_star_graphs, flatten
+from flatvol.graphs import (
+    FlattenState,
+    OuterVertex,
+    WeightVector,
+    enumerate_star_graphs,
+    flatten,
+)
 from flatvol.kernels import PRINTED_CONVENTION, ConventionFlags
 from flatvol.polytopes import Block, CascadePolytope, integrate, parametrize
 from flatvol.recursion import (
@@ -143,7 +149,7 @@ def test_tree_values_match_integrand_integrals(genus, entries, want):
         expected = []
         for gph in enumerate_star_graphs(w.genus, w.labels(), 1):
             total = Fraction(0)
-            for t in flatten(gph, w, i0_policy=policy):
+            for t in flatten(gph, FlattenState(w, i0_policy=policy)):
                 integrand = math.prod(t.factors)
                 value = integrate((integrand,), t.domain)
                 if not t.domain.dimension():
@@ -187,8 +193,8 @@ def test_outer_vertex_subtrees_sum_to_lower_volume(genus, entries, vertex):
     for gph in enumerate_star_graphs(w.genus, w.labels(), 1):
         if vertex not in gph.outer:
             continue
-        state = graphs.FlattenState()
-        flatten(gph, w, kernels.DEFAULT_CONVENTION, "smallest_marking", state)
+        state = FlattenState(w, i0_policy="smallest_marking")
+        flatten(gph, state)
         # a root vertex type has no inherited legs; its ids start with its edges
         ids, subtrees = state.memo[vertex.genus, vertex.legs, 0, vertex.edges]
         beta = dict(zip(ids, betas))
@@ -239,13 +245,13 @@ def test_zero_sum_skip_drops_only_cancelling_trees(genus, entries, monkeypatch):
     w = _w(genus, *entries)
     gphs = enumerate_star_graphs(genus, w.labels(), 1)
     with_skip = evaluate(w).terms
-    trees = sum(len(flatten(gph, w)) for gph in gphs)
+    trees = sum(len(flatten(gph, FlattenState(w))) for gph in gphs)
     skipped = [
         i for i, gph in enumerate(gphs) if graphs._sums_to_zero(gph, kernels.DEFAULT_CONVENTION)
     ]
     _no_zero_sum_skip(monkeypatch)
     assert evaluate(w).terms == with_skip
-    assert sum(len(flatten(gph, w)) for gph in gphs) > trees
+    assert sum(len(flatten(gph, FlattenState(w))) for gph in gphs) > trees
     assert skipped and all(with_skip[i][1] == 0 for i in skipped)
 
 
@@ -365,15 +371,16 @@ def test_evaluate_input_checks():
 
 
 def test_state_stays_bounded():
-    # kernel bodies are cached per vertex shape and engine variables get
-    # no stored name, so many evaluations leave no growing global state
+    # star-graph shapes are cached per (g, n, i0 position), a finite set
+    # that warm-up fills, and engine variables get no stored name, so many
+    # evaluations leave no growing global state
     rng = random.Random(40)
     names = len(exact._NAMES)
     for i in range(1, 41):
         evaluate(_random_alpha(rng, 1, 4))
         if i == 10:
-            after_warmup = len(kernels._KERNEL_CACHE)
-    assert len(kernels._KERNEL_CACHE) == after_warmup
+            after_warmup = graphs._enumerate_shapes.cache_info().currsize
+    assert graphs._enumerate_shapes.cache_info().currsize == after_warmup
     assert len(exact._NAMES) == names
 
 
@@ -392,11 +399,10 @@ def test_evaluation_leaves_no_cyclic_garbage():
 
 def test_traced_memory_stays_bounded():
     # after ten warm-up evaluations of one point, thirty more hold no more
-    # memory and add no kernel-cache entry
+    # memory
     w = _w(1, "1/3", "1/2", "5/4", "23/12")
     for _ in range(10):
         evaluate(w)
-    cache = len(kernels._KERNEL_CACHE)
     tracemalloc.start()
     try:
         held = []
@@ -408,7 +414,6 @@ def test_traced_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert max(held) - held[0] <= 4096, held
-    assert len(kernels._KERNEL_CACHE) == cache
 
 
 def test_scan_memo(monkeypatch):
