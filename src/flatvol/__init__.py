@@ -51,9 +51,18 @@ from .recursion import (
     volhat,
     volume_normalization,
 )
-from .validate import ValidationReport, run_validation
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # no evaluation needs the validation harness, so it loads on first use
+    if name in ("ValidationReport", "run_validation"):
+        from . import validate
+
+        return getattr(validate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AabTable",

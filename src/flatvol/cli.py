@@ -25,7 +25,6 @@ from .recursion import (
     scan,
     volume_normalization,
 )
-from .validate import run_validation
 
 
 def _comma_list(raw: str) -> tuple[str, ...]:
@@ -310,6 +309,8 @@ def cmd_riemann(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .validate import run_validation
+
     report = run_validation()
     if args.fmt == "json":
         _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)

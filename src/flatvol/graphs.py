@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .exact import MultiPoly, fresh_var, var_name
 from .kernels import ConventionFlags, DEFAULT_CONVENTION, kernel_A
@@ -55,15 +54,18 @@ def label_str(label: Label) -> str:
     return var_name(label[1])
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Cone angles 2*pi*alpha_i; entries must sum to 2g-2+n exactly."""
-
+class _WeightFields(NamedTuple):
     genus: int
     entries: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+
+class WeightVector(_WeightFields):
+    """Cone angles 2*pi*alpha_i; entries must sum to 2g-2+n exactly."""
+
+    __slots__ = ()
+
+    def __new__(cls, genus: int, entries: Iterable[Fraction]) -> WeightVector:
+        self = super().__new__(cls, genus, tuple(Fraction(e) for e in entries))
         if self.genus < 0:
             raise ValueError("genus must be >= 0")
         n = len(self.entries)
@@ -78,6 +80,7 @@ class WeightVector:
             raise ValueError(
                 f"entries sum to {total}, expected 2g-2+n = {2 * self.genus - 2 + n}"
             )
+        return self
 
     @property
     def n(self) -> int:
@@ -90,8 +93,7 @@ class WeightVector:
         return {i + 1: e for i, e in enumerate(self.entries)}
 
 
-@dataclass(frozen=True)
-class OuterVertex:
+class OuterVertex(NamedTuple):
     genus: int
     edges: int
     legs: tuple[Label, ...]
@@ -102,20 +104,27 @@ class OuterVertex:
         return 2 * self.genus - 2 + len(self.legs) + self.edges
 
 
-@dataclass(frozen=True)
-class StarGraph:
+class _StarFields(NamedTuple):
     genus0: int
     legs0: tuple[Label, ...]
     outer: tuple[OuterVertex, ...]
     i0: Label
 
-    def __post_init__(self) -> None:
+
+class StarGraph(_StarFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, genus0: int, legs0: tuple[Label, ...], outer: tuple[OuterVertex, ...], i0: Label
+    ) -> StarGraph:
+        self = super().__new__(cls, genus0, legs0, outer, i0)
         if self.i0 not in self.legs0:
             raise ValueError("i0 must sit on the central vertex")
         if self.genus0 < 0 or any(ov.genus < 0 or ov.edges < 1 for ov in self.outer):
             raise ValueError("bad vertex data")
         if self.euler0 <= 0 or any(ov.euler <= 0 for ov in self.outer):
             raise ValueError("unstable vertex")
+        return self
 
     @property
     def ell(self) -> int:
@@ -297,8 +306,7 @@ def enumerate_star_graphs(
 # -- twist domains -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DomainInfo:
+class DomainInfo(NamedTuple):
     """Block levels of the twist domain at a numeric weight vector."""
 
     levels: tuple[Fraction, ...]
@@ -355,8 +363,7 @@ def twist_multiplicity(twist: tuple[tuple[Fraction, ...], ...]) -> Fraction:
 I0_POLICIES = ("smallest_marking", "largest_marking", "edge_first")
 
 
-@dataclass(frozen=True, slots=True)
-class StarTree:
+class StarTree(NamedTuple):
     """One flattened tree of a root star graph, with every outer vertex expanded.
 
     factors holds one polynomial per tree node, root first and then each
@@ -403,7 +410,6 @@ VertexType = tuple[int, tuple[int, ...], int, int]
 Template = tuple[tuple[int, ...], list[Subtree]]
 
 
-@dataclass(eq=False, slots=True)
 class FlattenState:
     """The flattening of one weight vector under one convention and child-root
     policy: the constant weight map, the sum of the fixed leg weights per
@@ -416,20 +422,27 @@ class FlattenState:
     each vertex type is expanded once per state.
     """
 
-    alpha: WeightVector
-    convention: ConventionFlags = DEFAULT_CONVENTION
-    i0_policy: str | None = None
-    wmap: dict[Label, MultiPoly] = field(init=False)
-    fixed_sums: dict[tuple[int, ...], Fraction] = field(init=False, default_factory=dict)
-    memo: dict[VertexType, Template] = field(init=False, default_factory=dict)
+    __slots__ = ("alpha", "convention", "i0_policy", "wmap", "fixed_sums", "memo")
 
-    def __post_init__(self) -> None:
-        if self.i0_policy is None:
-            default = self.convention == DEFAULT_CONVENTION
-            self.i0_policy = "edge_first" if default else "smallest_marking"
-        if self.i0_policy not in I0_POLICIES:
-            raise ValueError(f"unknown i0 policy {self.i0_policy!r}")
-        self.wmap = {l: MultiPoly.const(w) for l, w in self.alpha.weight_map().items()}
+    def __init__(
+        self,
+        alpha: WeightVector,
+        convention: ConventionFlags = DEFAULT_CONVENTION,
+        i0_policy: str | None = None,
+    ) -> None:
+        if i0_policy is None:
+            default = convention == DEFAULT_CONVENTION
+            i0_policy = "edge_first" if default else "smallest_marking"
+        if i0_policy not in I0_POLICIES:
+            raise ValueError(f"unknown i0 policy {i0_policy!r}")
+        self.alpha = alpha
+        self.convention = convention
+        self.i0_policy = i0_policy
+        self.wmap: dict[Label, MultiPoly] = {
+            l: MultiPoly.const(w) for l, w in alpha.weight_map().items()
+        }
+        self.fixed_sums: dict[tuple[int, ...], Fraction] = {}
+        self.memo: dict[VertexType, Template] = {}
 
 
 def _renamed(template: Template, slots: tuple[int, ...]) -> list[Subtree]:

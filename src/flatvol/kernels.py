@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .exact import MultiPoly, TruncatedSeries
 
@@ -35,8 +34,12 @@ _S_EXPONENTS = ("printed", "shifted")
 _TERM_SIGNS = ("printed", "prefactor")
 
 
-@dataclass(frozen=True)
-class ConventionFlags:
+class _ConventionFields(NamedTuple):
+    s_exponent: str
+    term_sign: str
+
+
+class ConventionFlags(_ConventionFields):
     """Bookkeeping switches for the recursion.
 
     s_exponent: 'printed' uses E = 2g-2+n, 'shifted' uses E = 2g-1+n,
@@ -48,14 +51,14 @@ class ConventionFlags:
     re-derives that choice against the invariant suite.
     """
 
-    s_exponent: str = "shifted"
-    term_sign: str = "prefactor"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.s_exponent not in _S_EXPONENTS:
+    def __new__(cls, s_exponent: str = "shifted", term_sign: str = "prefactor") -> ConventionFlags:
+        if s_exponent not in _S_EXPONENTS:
             raise ValueError(f"s_exponent must be one of {_S_EXPONENTS}")
-        if self.term_sign not in _TERM_SIGNS:
+        if term_sign not in _TERM_SIGNS:
             raise ValueError(f"term_sign must be one of {_TERM_SIGNS}")
+        return super().__new__(cls, s_exponent, term_sign)
 
     def slot_exponent(self, genus: int, nslots: int) -> int:
         if self.s_exponent == "printed":
@@ -138,8 +141,7 @@ def kernel_A(
     return _kernel_body(genus, coerced, i0, exponent)
 
 
-@dataclass(frozen=True)
-class AabTable:
+class AabTable(NamedTuple):
     """Coefficients a_g solving [z^{2g}] F(z)^{2g} = (2g)! [z^{2g}] S(z)^{-1}
     with F(z) = 1 + sum_{g>=1} (2g-1) a_g z^{2g}, solved triangularly."""
 

@@ -29,45 +29,51 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exact import MultiPoly, compose_affine, var_name
 
 DIM_BOUND = 8
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
-    """Positive variables summing to an affine level."""
-
+class _BlockFields(NamedTuple):
     vars: tuple[int, ...]
     level: MultiPoly
 
-    def __post_init__(self) -> None:
-        if not self.vars:
+
+class Block(_BlockFields):
+    """Positive variables summing to an affine level."""
+
+    __slots__ = ()
+
+    def __new__(cls, vars: tuple[int, ...], level: MultiPoly) -> Block:
+        if not vars:
             raise ValueError("block needs at least one variable")
-        if len(set(self.vars)) != len(self.vars):
+        if len(set(vars)) != len(vars):
             raise ValueError("block variables must be distinct")
-        if not self.level.is_affine():
+        if not level.is_affine():
             raise ValueError("block level must be affine")
+        return super().__new__(cls, vars, level)
 
 
-@dataclass(frozen=True, slots=True)
-class CascadePolytope:
+class _CascadeFields(NamedTuple):
+    blocks: tuple[Block, ...]
+
+
+class CascadePolytope(_CascadeFields):
     """Blocks in dependency order; levels only use earlier blocks' variables.
 
     A level variable that no earlier block introduces is refused, so every
     cascade is closed: its domain does not depend on outside parameters.
     """
 
-    blocks: tuple[Block, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, blocks: tuple[Block, ...]) -> CascadePolytope:
         seen: set[int] = set()
-        for blk in self.blocks:
+        for blk in blocks:
             if set(blk.vars) & seen:
                 raise ValueError("block variables reused across blocks")
             for vid in blk.level.vars:
@@ -76,6 +82,7 @@ class CascadePolytope:
                         f"level of a block uses {var_name(vid)} before it is introduced"
                     )
             seen.update(blk.vars)
+        return super().__new__(cls, blocks)
 
     @property
     def variables(self) -> tuple[int, ...]:
@@ -93,8 +100,7 @@ class CascadePolytope:
 Row = tuple[int, tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class ParamSystem:
+class ParamSystem(NamedTuple):
     """Cascade rewritten over free coordinates.
 
     rows[i] gives cascade variable i, in dom.variables order, as a row in
@@ -197,8 +203,7 @@ def solve_square(rows: Sequence[Sequence[int]], rhs: Sequence[int]):
 # -- vertex enumeration ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VRepPolytope:
+class VRepPolytope(NamedTuple):
     """Vertices of a closed feasible set with every row's value at each.
 
     vertices[k] is the point (num_1 / den, .., num_d / den) as the

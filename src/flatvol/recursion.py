@@ -16,9 +16,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exact import MultiPoly, common_denominator, fresh_var
 from .graphs import (
@@ -34,8 +33,7 @@ from .kernels import ConventionFlags, DEFAULT_CONVENTION, q_factor
 from .polytopes import Block, CascadePolytope, integrate, point_value
 
 
-@dataclass(frozen=True)
-class FlatValue:
+class FlatValue(NamedTuple):
     """v at one weight vector, with one term per root star graph.
 
     terms holds (StarGraph.encode(weights), sum of the graph's trees) for
@@ -140,8 +138,7 @@ def volhat(
     return volume_normalization(alpha) * float(evaluate(alpha, i0, convention).value)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     t: Fraction
     alpha: tuple[Fraction, ...]
     value: Fraction | None
@@ -306,8 +303,7 @@ def _interpolant(xs: Sequence[int], ys: Sequence[Fraction]) -> Callable[[int], F
     return poly
 
 
-@dataclass(frozen=True)
-class RiemannRow:
+class RiemannRow(NamedTuple):
     graph: str
     k: int
     lattice: Fraction

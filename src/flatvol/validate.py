@@ -8,8 +8,8 @@ is what the `validate` CLI subcommand emits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import MultiPoly
 from .graphs import I0_POLICIES, WeightVector
@@ -24,8 +24,7 @@ from .kernels import (
 from .recursion import evaluate, genus0_oracle
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     check: str
     passed: bool
     detail: str
@@ -35,8 +34,7 @@ def _label(conv: ConventionFlags) -> str:
     return f"{conv.s_exponent}/{conv.term_sign}"
 
 
-@dataclass(frozen=True)
-class ConventionReport:
+class ConventionReport(NamedTuple):
     convention: ConventionFlags
     rows: tuple[CheckRow, ...]
 
@@ -55,8 +53,7 @@ class ConventionReport:
         raise KeyError(check)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     reports: tuple[ConventionReport, ...]
 
     @property

@@ -41,6 +41,22 @@ def test_weight_vector_validation():
         WeightVector(-1, (Fraction(1),) * 3)
 
 
+@pytest.mark.parametrize(
+    "genus0, legs0, outer, i0, message",
+    [
+        (0, (1, 2), (OuterVertex(0, 1, (3,)),), 3, "i0 must sit on the central vertex"),
+        (-1, (1, 2, 3), (), 1, "bad vertex data"),
+        (0, (1, 2), (OuterVertex(-1, 1, (3, 4)),), 1, "bad vertex data"),
+        (0, (1, 2), (OuterVertex(0, 0, (3, 4, 5)),), 1, "bad vertex data"),
+        (0, (1,), (), 1, "unstable vertex"),
+        (0, (1, 2), (OuterVertex(0, 1, ()),), 1, "unstable vertex"),
+    ],
+)
+def test_star_graph_refusals_name_their_reason(genus0, legs0, outer, i0, message):
+    with pytest.raises(ValueError, match=message):
+        StarGraph(genus0, legs0, outer, i0)
+
+
 def test_enumeration_counts():
     counts = {
         (0, 4): 4,

@@ -43,6 +43,25 @@ def test_block_validation():
         Block((v,), MultiPoly.variable(v) * MultiPoly.variable(v))  # not affine
 
 
+@pytest.mark.parametrize(
+    "vars_, level, message",
+    [
+        ((), MultiPoly.one(), "block needs at least one variable"),
+        ((1, 1), MultiPoly.one(), "block variables must be distinct"),
+        ((1,), MultiPoly.variable(1) * MultiPoly.variable(1), "block level must be affine"),
+    ],
+)
+def test_block_refusals_name_their_reason(vars_, level, message):
+    with pytest.raises(ValueError, match=message):
+        Block(vars_, level)
+
+
+def test_cascade_refuses_a_variable_reused_across_blocks():
+    x, y = fresh_var("rx"), fresh_var("ry")
+    with pytest.raises(ValueError, match="block variables reused across blocks"):
+        CascadePolytope((Block((x, y), MultiPoly.one()), Block((y,), MultiPoly.variable(x))))
+
+
 def test_cascade_ordering_rules():
     x, y, z = fresh_var("cx"), fresh_var("cy"), fresh_var("cz")
     # later block may use an earlier block's variable

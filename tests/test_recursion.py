@@ -1,6 +1,5 @@
 """Tests for the flat recursion, volume conversion, scans, and diagnostics."""
 
-import dataclasses
 import gc
 import itertools
 import math
@@ -613,7 +612,7 @@ def _counting_evaluate(monkeypatch, calls, perturb=None):
         key = tuple(sorted(alpha.entries))
         calls.append(key)
         fv = evaluate(alpha, *args, **kwargs)
-        return dataclasses.replace(fv, value=fv.value + 1) if key == perturb else fv
+        return fv._replace(value=fv.value + 1) if key == perturb else fv
 
     monkeypatch.setattr(recursion, "evaluate", counting)
 
