@@ -262,8 +262,11 @@ def cmd_aab(args: argparse.Namespace) -> int:
 
 def cmd_q(args: argparse.Namespace) -> int:
     alpha = _parse_alpha(args)
-    q = q_factor(alpha.genus, alpha.entries)
+    # det_factor_forms refuses an integral leading entry as a cotangent pole
     sym, closed = det_factor_forms(alpha.genus, alpha.entries)
+    if has_integer_entry(alpha):
+        raise ValueError("wall point: some entry is a positive integer, q vanishes")
+    q = q_factor(alpha.genus, alpha.entries)
     doc = {
         "g": alpha.genus,
         "n": alpha.n,

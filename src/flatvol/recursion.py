@@ -164,16 +164,16 @@ def scan(
     Rows hitting a wall (integer entry) carry flag "wall" and no volhat;
     rows leaving the positive cone carry flag "invalid" and no value.
 
-    Under the default convention v is symmetric in the entries, so rows
-    with the same entry multiset share one evaluation, and v is a
-    polynomial of degree at most D = 4g - 3 + n in t between the walls
-    sum_{i in S} alpha_i(t) in Z.  Those walls cut the rows into
-    chambers.  A chamber of at least D + 2 rows is evaluated at D + 1
-    spread rows, and every other row gets the exact value of the
-    interpolating polynomial through them.  One more evaluated row checks
-    it; if the check disagrees, the chamber is evaluated row by row.
-    Rows on a wall, shorter chambers, lines lying inside a wall and every
-    row under another convention are evaluated directly.
+    Under every convention v is a polynomial of degree at most
+    D = 4g - 3 + n in t between the walls sum_{i in S} alpha_i(t) in Z
+    that the line crosses.  Those walls cut the rows into chambers.  A
+    chamber of at least D + 2 rows is evaluated at D + 1 spread rows, and
+    every other row gets the exact value of the interpolating polynomial
+    through them.  One more evaluated row checks it; if the check
+    disagrees, the chamber is evaluated row by row.  Rows on a wall and
+    shorter chambers are evaluated directly.  Each point is evaluated
+    once; under the default convention, where v is symmetric in the
+    entries, rows with the same entry multiset share one evaluation.
     """
     if (base is None) != (direction is None):
         raise ValueError("pass both base and direction, or neither")
@@ -208,36 +208,32 @@ def scan(
     memo: dict[tuple[Fraction, ...], Fraction] = {}
 
     def value_at(i: int) -> Fraction:
-        alpha = WeightVector(genus, alphas[i])
-        if convention != DEFAULT_CONVENTION:
-            return evaluate(alpha, i0, convention).value
-        key = tuple(sorted(alpha.entries))
+        key = tuple(sorted(alphas[i])) if convention == DEFAULT_CONVENTION else alphas[i]
         if key not in memo:
-            memo[key] = evaluate(alpha, i0, convention).value
+            memo[key] = evaluate(WeightVector(genus, alphas[i]), i0, convention).value
         return memo[key]
 
     values: list[Fraction | None] = [None] * steps
-    walls = _walls(base, direction, t_min, t_max) if convention == DEFAULT_CONVENTION else None
-    if walls is not None:
-        degree = 4 * genus - 3 + n
-        chambers: dict[int, list[int]] = {}
-        for i, t in enumerate(ts):
-            k = bisect.bisect_left(walls, t)
-            if valid[i] and (k == len(walls) or walls[k] != t):
-                chambers.setdefault(k, []).append(i)
-        for idx in chambers.values():
-            if len(idx) < degree + 2:
-                continue
-            # D + 2 picks at floor(k * L / (D + 1)) from either end, so a
-            # mirrored chamber picks mirrored rows and the memo shares them;
-            # the middle pick is the check row
-            L, E = len(idx) - 1, degree + 1
-            picks = [idx[k * L // E] if 2 * k <= E else idx[L - (E - k) * L // E] for k in range(E + 1)]
-            check = picks.pop(E // 2)
-            poly = _interpolant(picks, [value_at(i) for i in picks])
-            if poly(check) == value_at(check):
-                for i in idx:
-                    values[i] = poly(i)
+    walls = _walls(base, direction, t_min, t_max)
+    degree = 4 * genus - 3 + n
+    chambers: dict[int, list[int]] = {}
+    for i, t in enumerate(ts):
+        k = bisect.bisect_left(walls, t)
+        if valid[i] and (k == len(walls) or walls[k] != t):
+            chambers.setdefault(k, []).append(i)
+    for idx in chambers.values():
+        if len(idx) < degree + 2:
+            continue
+        # D + 2 picks at floor(k * L / (D + 1)) from either end, so a
+        # mirrored chamber picks mirrored rows and the memo shares them;
+        # the middle pick is the check row
+        L, E = len(idx) - 1, degree + 1
+        picks = [idx[k * L // E] if 2 * k <= E else idx[L - (E - k) * L // E] for k in range(E + 1)]
+        check = picks.pop(E // 2)
+        poly = _interpolant(picks, [value_at(i) for i in picks])
+        if poly(check) == value_at(check):
+            for i in idx:
+                values[i] = poly(i)
 
     rows: list[ScanRow] = []
     for i, (t, entries) in enumerate(zip(ts, alphas)):
@@ -257,13 +253,14 @@ def scan(
 
 def _walls(
     base: Sequence[Fraction], direction: Sequence[Fraction], t_min: Fraction, t_max: Fraction
-) -> list[Fraction] | None:
+) -> list[Fraction]:
     """Sorted t in [t_min, t_max] (either order) where a subset sum of alpha(t) is an integer.
 
     The entries sum to an integer, so a subset and its complement share
     their walls and only subsets without the last entry are visited.  A
-    subset sum that does not move and is an integer puts the whole line
-    on a wall; that case returns None.
+    subset sum that does not move along the line cuts no chamber, integer
+    or not, and is skipped: a line lying inside a wall is cut into
+    chambers by the walls it crosses, like any other line.
     """
     lo, hi = sorted((t_min, t_max))
     walls: set[Fraction] = set()
@@ -273,8 +270,6 @@ def _walls(
         b = sum(base[i] for i in S)
         d = sum(direction[i] for i in S)
         if d == 0:
-            if b.denominator == 1:
-                return None
             continue
         s_lo, s_hi = sorted((b + d * lo, b + d * hi))
         walls.update((k - b) / d for k in range(math.ceil(s_lo), math.floor(s_hi) + 1))

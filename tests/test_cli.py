@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from flatvol.cli import build_parser, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(capsys, *argv):
@@ -55,6 +58,14 @@ def test_exit_code_2_paths(capsys):
     code, _, err = _run(capsys, "volhat", "--g", "1", "--alpha", "1,1")
     assert code == 2 and "wall" in err
     assert err == "error: wall point: some entry is a positive integer, volhat undefined\n"
+    # q refuses every wall point, whatever the place of its integer entry;
+    # an integral leading entry is met first, as a cotangent pole
+    code, out, err = _run(capsys, "q", "--g", "1", "--alpha", "1/2,1/2,2")
+    assert code == 2 and out == ""
+    assert err == "error: wall point: some entry is a positive integer, q vanishes\n"
+    code, out, err = _run(capsys, "q", "--g", "1", "--alpha", "2,1/2,1/2")
+    assert code == 2 and out == ""
+    assert err == "error: cotangent pole: leading entries must be non-integral\n"
     # riemann refuses k that leaves a twist level non-integral
     code, _, err = _run(capsys, "riemann", "--g", "1", "--alpha", "3/2,1/2", "--k", "3")
     assert code == 2 and err.startswith("error:")
@@ -91,6 +102,16 @@ def test_scan_csv_shape(capsys):
     wall = lines[3].split(",")
     assert wall[0] == "1.0" and wall[-1] == "wall"
     assert wall[2] == "0" and wall[4] == ""
+
+
+def test_scan_printed_convention_golden(tmp_path):
+    # the genus-2 slice under printed/printed, pinned byte for byte; it is
+    # interpolated chamber by chamber like the default convention's
+    target = tmp_path / "g2_scan_printed.csv"
+    argv = ["scan", "--g", "2", "--steps", "60", "--s-exponent", "printed",
+            "--term-sign", "printed", "--out", str(target)]
+    assert main(argv) == 0
+    assert target.read_bytes() == (GOLDEN / "g2_scan_printed.csv").read_bytes()
 
 
 def test_scan_json_format(capsys):

@@ -19,7 +19,7 @@ from flatvol.graphs import (
     enumerate_star_graphs,
     flatten,
 )
-from flatvol.kernels import PRINTED_CONVENTION, ConventionFlags
+from flatvol.kernels import ALL_CONVENTIONS, DEFAULT_CONVENTION, PRINTED_CONVENTION, ConventionFlags
 from flatvol.polytopes import Block, CascadePolytope, integrate, parametrize
 from flatvol.recursion import (
     evaluate,
@@ -531,10 +531,16 @@ def _line(genus, base, direction, t):
 
 
 def _wall_free(base, direction, t0, t1):
-    """No subset sum of alpha(t) is an integer for t in [t0, t1]."""
+    """No subset sum that moves along the line is an integer for t in [t0, t1].
+
+    A sum that does not move cuts no chamber, so a segment of a line lying
+    inside a wall counts as wall free when it crosses no other wall.
+    """
     n = len(base)
     for size in range(1, n):
         for S in itertools.combinations(range(n), size):
+            if sum(Fraction(direction[i]) for i in S) == 0:
+                continue
             a, b = (sum(Fraction(base[i]) + t * Fraction(direction[i]) for i in S) for t in (t0, t1))
             if a.denominator == 1 or b.denominator == 1 or a // 1 != b // 1:
                 return False
@@ -554,23 +560,30 @@ DEGREE_SEGMENTS = [  # genus, base, direction, t0, step
     (2, (0, 4), (1, -1), Fraction(1, 9), Fraction(1, 13)),
     (0, (Fraction(1, 5), Fraction(1, 3), Fraction(2, 7), Fraction(124, 105)),
      (Fraction(1, 40), Fraction(-1, 50), Fraction(1, 60), Fraction(-13, 600)), 0, 1),
+    # inside the pair-sum wall a1 + a2 = 1
+    (0, (Fraction(1, 3), Fraction(2, 3), Fraction(3, 5), Fraction(3, 5), Fraction(4, 5)),
+     (Fraction(1, 100), Fraction(-1, 100), Fraction(1, 200), Fraction(-1, 400), Fraction(-1, 400)), 0, 1),
 ]
 
 
 @pytest.mark.parametrize("genus, base, direction, t0, step", DEGREE_SEGMENTS)
 def test_exact_degree_on_wall_free_segments(genus, base, direction, t0, step):
-    # scan interpolates with degree D = 4g - 3 + n: on a segment crossing no
-    # wall the (D+1)-th exact difference vanishes and the D-th does not
+    # scan interpolates with degree D = 4g - 3 + n under every convention:
+    # on a segment crossing no wall the (D+1)-th exact difference vanishes.
+    # With the prefactor sign the D-th does not; with the (-1)^edges sign
+    # the degree can fall below D (4 instead of 7 at genus 2)
     degree = 4 * genus - 3 + len(base)
     ts = [t0 + j * step for j in range(degree + 2)]
     assert _wall_free(base, direction, ts[0], ts[-1])
-    values = [evaluate(_line(genus, base, direction, t)).value for t in ts]
-    assert _difference(values, degree + 1) == [0]
-    assert 0 not in _difference(values, degree)
-    if genus == 0 and len(base) == 4:
-        oracle = [genus0_oracle(_line(genus, base, direction, t)) for t in ts]
-        assert oracle == values
-        assert _difference(oracle, degree + 1) == [0] and 0 not in _difference(oracle, degree)
+    for conv in ALL_CONVENTIONS:
+        values = [evaluate(_line(genus, base, direction, t), convention=conv).value for t in ts]
+        assert _difference(values, degree + 1) == [0], conv
+        if conv.term_sign == "prefactor":
+            assert 0 not in _difference(values, degree), conv
+        if conv == DEFAULT_CONVENTION and genus == 0 and len(base) == 4:
+            oracle = [genus0_oracle(_line(genus, base, direction, t)) for t in ts]
+            assert oracle == values
+            assert _difference(oracle, degree + 1) == [0] and 0 not in _difference(oracle, degree)
 
 
 @st.composite
@@ -603,8 +616,9 @@ def test_degree_bound_on_drawn_segments(segment):
     degree = 4 * genus - 3 + len(base)
     ts = [j * step for j in range(degree + 2)]
     assert _wall_free(base, direction, ts[0], ts[-1])
-    values = [evaluate(_line(genus, base, direction, t)).value for t in ts]
-    assert _difference(values, degree + 1) == [0]
+    for conv in ALL_CONVENTIONS:
+        values = [evaluate(_line(genus, base, direction, t), convention=conv).value for t in ts]
+        assert _difference(values, degree + 1) == [0], conv
 
 
 def _counting_evaluate(monkeypatch, calls, perturb=None):
@@ -630,15 +644,23 @@ G0N5_SLICE = dict(genus=0, n=5, steps=80,
                   t_min=Fraction(-1), t_max=Fraction(61, 20))
 
 
-@pytest.mark.parametrize("slice_, pair_wall", [(G1N3_SLICE, Fraction(4, 9)), (G0N5_SLICE, Fraction(1, 2))])
-def test_scan_interpolation_matches_direct(monkeypatch, slice_, pair_wall):
-    calls = []
-    _counting_evaluate(monkeypatch, calls)
-    rows = scan(**slice_)
-    flags = {r.flag for r in rows}
-    assert flags == {"", "wall", "invalid"}
-    # group the rows into chambers independently: rows on a wall stand
-    # alone, and neighbours share a chamber when no wall lies between them
+def _assert_rows_match_direct(slice_, rows, convention):
+    for r in rows:
+        if r.flag == "invalid":
+            assert r.value is None
+            continue
+        w = WeightVector(slice_["genus"], r.alpha)
+        assert r.value == evaluate(w, convention=convention).value, (convention, r.t)
+        assert r.flag == ("wall" if has_integer_entry(w) else "")
+        assert r.volhat == (None if r.flag else volume_normalization(w) * float(r.value))
+
+
+def _assert_chamber_budget(slice_, rows, calls):
+    """At most D + 2 evaluations per chamber, and fewer than one per row.
+
+    The chambers are grouped independently of scan: a row stands alone on
+    a wall, and neighbours share a chamber when no wall lies between them.
+    """
     base, direction = slice_["base"], slice_["direction"]
     on_wall, chambers, prev = 0, [], None
     for r in rows:
@@ -652,16 +674,43 @@ def test_scan_interpolation_matches_direct(monkeypatch, slice_, pair_wall):
         prev = r
     degree = 4 * slice_["genus"] - 3 + slice_["n"]
     assert len(calls) <= on_wall + sum(min(m, degree + 2) for m in chambers) < on_wall + sum(chambers)
-    on_wall = next(r for r in rows if r.t == pair_wall)
-    assert tuple(sorted(on_wall.alpha)) in calls  # evaluated directly
-    for r in rows:
-        if r.flag == "invalid":
-            assert r.value is None
-            continue
-        w = WeightVector(slice_["genus"], r.alpha)
-        assert r.value == evaluate(w).value, r.t
-        assert r.flag == ("wall" if has_integer_entry(w) else "")
-        assert r.volhat == (None if r.flag else volume_normalization(w) * float(r.value))
+
+
+@pytest.mark.parametrize("slice_, pair_wall", [(G1N3_SLICE, Fraction(4, 9)), (G0N5_SLICE, Fraction(1, 2))])
+def test_scan_interpolation_matches_direct(monkeypatch, slice_, pair_wall):
+    for convention in (DEFAULT_CONVENTION, PRINTED_CONVENTION):
+        calls = []
+        _counting_evaluate(monkeypatch, calls)
+        rows = scan(**slice_, convention=convention)
+        flags = {r.flag for r in rows}
+        assert flags == {"", "wall", "invalid"}
+        _assert_chamber_budget(slice_, rows, calls)
+        wall_row = next(r for r in rows if r.t == pair_wall)
+        assert tuple(sorted(wall_row.alpha)) in calls  # evaluated directly
+        _assert_rows_match_direct(slice_, rows, convention)
+
+
+# lines lying inside a wall, interpolated between the walls they cross:
+# a1 + a2 = 1 at genus 0, n = 5 (rows with t <= -1/3 leave the positive
+# cone), and a3 = 2 at genus 1, n = 3, where every row is a wall row and
+# no other wall meets the open segment
+IN_WALL_SLICES = [
+    dict(genus=0, n=5, steps=40,
+         base=(Fraction(1, 3), Fraction(2, 3), Fraction(3, 5), Fraction(3, 5), Fraction(4, 5)),
+         direction=(1, -1, Fraction(1, 2), Fraction(-1, 4), Fraction(-1, 4)),
+         t_min=Fraction(-2, 5), t_max=Fraction(3, 5)),
+    dict(genus=1, n=3, steps=40, base=(0, 1, 2), direction=(1, -1, 0), t_min=0, t_max=1),
+]
+
+
+@pytest.mark.parametrize("slice_", IN_WALL_SLICES)
+def test_scan_line_inside_wall(monkeypatch, slice_):
+    for convention in ALL_CONVENTIONS:
+        calls = []
+        _counting_evaluate(monkeypatch, calls)
+        rows = scan(**slice_, convention=convention)
+        _assert_chamber_budget(slice_, rows, calls)
+        _assert_rows_match_direct(slice_, rows, convention)
 
 
 def test_scan_default_genus2_evaluations(monkeypatch):
@@ -675,28 +724,41 @@ def test_scan_default_genus2_evaluations(monkeypatch):
         assert r.value == evaluate(WeightVector(2, r.alpha)).value
 
 
+def test_scan_printed_genus2_evaluations(monkeypatch):
+    # another convention shares no mirrored rows, but takes the same path:
+    # 4 chambers of 150 rows at D + 2 = 9 evaluations each, not 600
+    calls = []
+    _counting_evaluate(monkeypatch, calls)
+    rows = scan(2, steps=600, convention=PRINTED_CONVENTION)
+    assert len(calls) <= 4 * (4 * 2 - 3 + 2 + 2)
+    for r in rows[::37]:
+        assert r.value == evaluate(WeightVector(2, r.alpha), convention=PRINTED_CONVENTION).value
+
+
 def test_scan_check_failure_falls_back(monkeypatch):
     # the chamber 4/9 < t < 1 of the genus-1, n = 3 slice has 9 rows and is
     # interpolated from D + 2 = 6 evaluations; a wrong value at any of them
     # fails the check, and then every row of the chamber is evaluated
-    reference = scan(**G1N3_SLICE)
-    chamber = [k for k, r in enumerate(reference) if Fraction(4, 9) < r.t < 1]
-    keys = {k: tuple(sorted(reference[k].alpha)) for k in chamber}
-    calls = []
-    _counting_evaluate(monkeypatch, calls)
-    scan(**G1N3_SLICE)
-    evaluated = [key for key in calls if key in keys.values()]
-    assert len(evaluated) == 6 < len(chamber)
-    for target in evaluated:
-        calls.clear()
-        _counting_evaluate(monkeypatch, calls, perturb=target)
-        rows = scan(**G1N3_SLICE)
-        for k, (r, ref) in enumerate(zip(rows, reference)):
-            if k in keys:
-                assert keys[k] in calls
-                assert r.value == ref.value + (keys[k] == target)
-            else:
-                assert r == ref
+    for convention in (DEFAULT_CONVENTION, PRINTED_CONVENTION):
+        monkeypatch.undo()  # the reference scan runs the real evaluate
+        reference = scan(**G1N3_SLICE, convention=convention)
+        chamber = [k for k, r in enumerate(reference) if Fraction(4, 9) < r.t < 1]
+        keys = {k: tuple(sorted(reference[k].alpha)) for k in chamber}
+        calls = []
+        _counting_evaluate(monkeypatch, calls)
+        scan(**G1N3_SLICE, convention=convention)
+        evaluated = [key for key in calls if key in keys.values()]
+        assert len(evaluated) == 6 < len(chamber)
+        for target in evaluated:
+            calls.clear()
+            _counting_evaluate(monkeypatch, calls, perturb=target)
+            rows = scan(**G1N3_SLICE, convention=convention)
+            for k, (r, ref) in enumerate(zip(rows, reference)):
+                if k in keys:
+                    assert keys[k] in calls
+                    assert r.value == ref.value + (keys[k] == target)
+                else:
+                    assert r == ref
 
 
 def test_riemann_diagnostic_converges():
