@@ -262,10 +262,8 @@ def cmd_aab(args: argparse.Namespace) -> int:
 
 def cmd_q(args: argparse.Namespace) -> int:
     alpha = _parse_alpha(args)
-    # det_factor_forms refuses an integral leading entry as a cotangent pole
+    # an integral leading entry is refused as a cotangent pole, any other as a wall point
     sym, closed = det_factor_forms(alpha.genus, alpha.entries)
-    if has_integer_entry(alpha):
-        raise ValueError("wall point: some entry is a positive integer, q vanishes")
     q = q_factor(alpha.genus, alpha.entries)
     doc = {
         "g": alpha.genus,

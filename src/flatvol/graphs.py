@@ -22,9 +22,11 @@ A FlattenState is built from one weight vector, convention and
 child-root policy, and evaluate passes one to every root graph; each
 vertex type is expanded once per state, and a later vertex of the same
 type gets that expansion with its variables renamed.
-A graph is dropped before its kernel is expanded when a block's domain
-is empty or, under the default convention, when its trees cancel; the
-trees are internal, and evaluate reports one sum per root graph.
+A graph is dropped in one place, before its kernel is expanded: when a
+block's level leaves no twist or, under the default convention, when a
+one-edge outer vertex with no inherited leg has an integer level, which
+forces the edge onto a wall where v = 0.  The trees are internal, and
+evaluate reports one sum per root graph.
 """
 
 from __future__ import annotations
@@ -387,14 +389,12 @@ def _child_i0(legs: tuple[Label, ...], new_edges: tuple[Label, ...], policy: str
     return pick(fixed, key=label_key)
 
 
-def _sums_to_zero(graph: StarGraph, convention: ConventionFlags) -> bool:
-    """Whether the graph's trees cancel: under the default convention, a
-    legless one-edge outer vertex of genus g_j has its edge forced to
-    2g_j - 1 and its subtrees sum to v_{g_j,1}(2g_j - 1) = 0.
+def _forces_wall(edges: int, inherited: tuple, c: Fraction, convention: ConventionFlags) -> bool:
+    """Whether a child's trees cancel: under the default convention, one
+    edge with no inherited leg is forced to its level c, and at an integer
+    c the child's subtrees sum to v at a wall point, which is 0.
     """
-    return convention == DEFAULT_CONVENTION and any(
-        ov.edges == 1 and not ov.legs for ov in graph.outer
-    )
+    return convention == DEFAULT_CONVENTION and edges == 1 and not inherited and c.denominator == 1
 
 
 # A subtree is (factors, blocks), the parts of a StarTree before its blocks
@@ -412,8 +412,8 @@ Template = tuple[tuple[int, ...], list[Subtree]]
 
 class FlattenState:
     """The flattening of one weight vector under one convention and child-root
-    policy: the constant weight map, the sum of the fixed leg weights per
-    leg tuple and the vertex-type memo that flatten fills.
+    policy: the marking weights as constants, the sum of the fixed leg
+    weights per leg tuple and the vertex-type memo that flatten fills.
 
     i0_policy picks each child graph's root; None means edge_first under
     the default convention, where v does not depend on it, and
@@ -438,7 +438,7 @@ class FlattenState:
         self.alpha = alpha
         self.convention = convention
         self.i0_policy = i0_policy
-        self.wmap: dict[Label, MultiPoly] = {
+        self.wmap: dict[int, MultiPoly] = {
             l: MultiPoly.const(w) for l, w in alpha.weight_map().items()
         }
         self.fixed_sums: dict[tuple[int, ...], Fraction] = {}
@@ -482,39 +482,38 @@ def _renamed(template: Template, slots: tuple[int, ...]) -> list[Subtree]:
     return out
 
 
-def _expand_graph(
-    graph: StarGraph, wmap: dict[Label, MultiPoly], state: FlattenState
-) -> list[Subtree]:
+def _expand_graph(graph: StarGraph, state: FlattenState) -> list[Subtree]:
     convention, memo, fixed_sums = state.convention, state.memo, state.fixed_sums
-    if _sums_to_zero(graph, convention):
-        return []
-    # fresh twist variables, grouped per outer vertex
-    edge_vars: list[tuple[int, ...]] = []
-    for ov in graph.outer:
-        edge_vars.append(tuple(fresh_var() for _ in range(ov.edges)))
-    all_edges = tuple(v for vars_j in edge_vars for v in vars_j)
-
-    # per-vertex blocks, level 2g-2+n+e minus the leg weights; prune
-    # empty domains before expanding the kernel: inherited edges are
-    # positive, so a constant part c <= 0 leaves no twist.  Legs sort
-    # fixed markings first, then inherited edges by id.
+    # per-vertex blocks on fresh twist variables, level 2g-2+n+e minus the
+    # leg weights.  The graph is dropped here, before its kernel is
+    # expanded: inherited edges are positive, so a constant part c <= 0
+    # leaves no twist, and a forced wall edge makes its trees cancel.
+    # Legs sort fixed markings first, then inherited edges by id.
     blocks: list[Block] = []
+    edge_vars: list[tuple[int, ...]] = []
     leg_ids: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for ov, vars_j in zip(graph.outer, edge_vars):
+    for ov in graph.outer:
         fixed = tuple(l for l in ov.legs if isinstance(l, int))
         inherited = tuple(l[1] for l in ov.legs if not isinstance(l, int))
         s = fixed_sums.get(fixed)
         if s is None:
-            s = fixed_sums[fixed] = sum(wmap[l].constant_value() for l in fixed)
+            s = fixed_sums[fixed] = sum(state.wmap[l].constant_value() for l in fixed)
         c = ov.euler - s
-        if c <= 0:
+        if c <= 0 or _forces_wall(ov.edges, inherited, c, convention):
             return []
+        vars_j = tuple(fresh_var() for _ in range(ov.edges))
         blocks.append(Block(vars_j, MultiPoly.affine(c, dict.fromkeys(inherited, -1))))
+        edge_vars.append(vars_j)
         leg_ids.append((fixed, inherited))
+    all_edges = tuple(v for vars_j in edge_vars for v in vars_j)
 
-    # kernel slots: central legs then all edges, negated
-    slots = [wmap[l] for l in graph.legs0] + [-MultiPoly.variable(v) for v in all_edges]
-    kern = kernel_A(graph.genus0, slots, graph.legs0.index(graph.i0), convention)
+    # kernel slots: central legs, a marking weighted from the state and an
+    # edge label by its variable, then all edges, negated
+    slots = [
+        state.wmap[l] if isinstance(l, int) else MultiPoly.variable(l[1]) for l in graph.legs0
+    ] + [-MultiPoly.variable(v) for v in all_edges]
+    i0 = graph.legs0.index(graph.i0)
+    kern = kernel_A(graph.genus0, slots, i0, convention)
 
     # vertex factor: kernel polynomial times prod b / |Aut|, then the sign or prefactor
     factor = kern * MultiPoly(
@@ -524,7 +523,7 @@ def _expand_graph(
         if graph.ell % 2:
             factor = -factor
     else:
-        factor = factor * ((-wmap[graph.i0]) ** graph.j0)
+        factor = factor * ((-slots[i0]) ** graph.j0)
 
     # expand children, each vertex type once; its slot ids ascend
     child_lists: list[list[Subtree]] = []
@@ -536,14 +535,11 @@ def _expand_graph(
             subtrees = _renamed(template, slot_ids)
         else:
             edge_labels = tuple(("e", vid) for vid in vars_j)
-            child_wmap = {l: wmap[l] for l in ov.legs}
-            for lab, vid in zip(edge_labels, vars_j):
-                child_wmap[lab] = MultiPoly.variable(vid)
-            child_markings = tuple(child_wmap)
+            child_markings = ov.legs + edge_labels
             ci0 = _child_i0(child_markings, edge_labels, state.i0_policy)
             subtrees = []
             for sub in enumerate_star_graphs(ov.genus, child_markings, ci0):
-                subtrees.extend(_expand_graph(sub, child_wmap, state))
+                subtrees.extend(_expand_graph(sub, state))
             inner = sorted({v for _, bs in subtrees for blk in bs for v in blk.vars})
             memo[key] = (slot_ids + tuple(inner), subtrees)
         if not subtrees:
@@ -574,5 +570,5 @@ def flatten(graph: StarGraph, state: FlattenState) -> list[StarTree]:
         raise ValueError("graph does not match the weight vector")
     return [
         StarTree(factors, CascadePolytope(blocks))
-        for factors, blocks in _expand_graph(graph, state.wmap, state)
+        for factors, blocks in _expand_graph(graph, state)
     ]

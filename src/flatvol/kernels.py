@@ -100,21 +100,6 @@ def series_zlogS(order: int) -> TruncatedSeries:
 Slot = Union[Fraction, int, MultiPoly]
 
 
-def _kernel_body(genus: int, slots: tuple[MultiPoly, ...], i0: int, exponent: int) -> MultiPoly:
-    """[u^g] exp(sum_k c_k u^k) by m e_m = sum_k k c_k e_{m-k}; see the module docstring."""
-    zlogs = series_zlogS(2 * genus).coeffs
-    others = [w for j, w in enumerate(slots) if j != i0]
-    c = []
-    for k in range(1, genus + 1):
-        p2k = sum((w ** (2 * k) for w in others), MultiPoly.zero())
-        c.append((p2k - exponent + slots[i0] * (2 * k)) * (zlogs[2 * k] / (2 * k)))
-    e = [MultiPoly.one()]
-    for m in range(1, genus + 1):
-        acc = sum((e[m - k] * c[k - 1] * k for k in range(1, m + 1)), MultiPoly.zero())
-        e.append(acc * Fraction(1, m))
-    return e[genus]
-
-
 def kernel_A(
     genus: int,
     slots: Sequence[Slot],
@@ -138,7 +123,18 @@ def kernel_A(
     exponent = convention.slot_exponent(genus, len(coerced))
     if exponent < 0:
         raise ValueError("slot exponent is negative, vertex is unstable")
-    return _kernel_body(genus, coerced, i0, exponent)
+    # [u^g] exp(sum_k c_k u^k) by m e_m = sum_k k c_k e_{m-k}; see the module docstring
+    zlogs = series_zlogS(2 * genus).coeffs
+    others = [w for j, w in enumerate(coerced) if j != i0]
+    c = []
+    for k in range(1, genus + 1):
+        p2k = sum((w ** (2 * k) for w in others), MultiPoly.zero())
+        c.append((p2k - exponent + coerced[i0] * (2 * k)) * (zlogs[2 * k] / (2 * k)))
+    e = [MultiPoly.one()]
+    for m in range(1, genus + 1):
+        acc = sum((e[m - k] * c[k - 1] * k for k in range(1, m + 1)), MultiPoly.zero())
+        e.append(acc * Fraction(1, m))
+    return e[genus]
 
 
 class AabTable(NamedTuple):
@@ -190,8 +186,13 @@ def aab_table(g_max: int) -> AabTable:
     return AabTable(g_max, tuple(values))
 
 
+_WALL_ERROR = "wall point: some entry is a positive integer, q vanishes"
+
+
 def q_factor(g: int, entries: Sequence[Fraction]) -> float:
     """q(alpha) = (-1)^(g-1+n) / 2^(2-n) * prod_i sin(pi alpha_i), double precision."""
+    if any(Fraction(a).denominator == 1 for a in entries):
+        raise ValueError(_WALL_ERROR)
     n = len(entries)
     prod = 1.0
     for a in entries:
@@ -206,7 +207,8 @@ def det_factor_forms(g: int, entries: Sequence[Fraction]) -> tuple[float, float]
     times an alternating elementary-symmetric sum of cotangents), the
     second is the closed product form (2i)^{2g} (-4)^{n-1} prod_i sin(pi a_i).
     Both are real; integral leading angles make the cotangents blow up and
-    are rejected.
+    are rejected, and an integral last angle is rejected as a wall point,
+    where both forms would give roundoff for an exact zero.
     """
     n = len(entries)
     if n < 1:
@@ -214,6 +216,8 @@ def det_factor_forms(g: int, entries: Sequence[Fraction]) -> tuple[float, float]
     for ent in entries[:-1]:
         if Fraction(ent).denominator == 1:
             raise ValueError("cotangent pole: leading entries must be non-integral")
+    if Fraction(entries[-1]).denominator == 1:
+        raise ValueError(_WALL_ERROR)
     lead = [float(ent) for ent in entries[:-1]]
     front = (-4.0) ** g
     chord = 1.0

@@ -283,7 +283,7 @@ def test_i0_policy_picks_child_root():
     # fixed leg, the largest, or the first new edge, and so builds its own
     # tree set; the last count is flatten's default, edge_first under the
     # default convention and smallest_marking under the others
-    assert _tree_counts(_weights(1, "1/2,2/3,5/6,4/3,7/6,3/2")) == (3567, 5169, 1016, 1016)
+    assert _tree_counts(_weights(1, "1/2,2/3,5/6,4/3,7/6,3/2")) == (2805, 4031, 638, 638)
     w = _weights(1, "5/4,5/4,1/2")
     for conv in ALL_CONVENTIONS:
         want = (10, 8, 7, 7) if conv == DEFAULT_CONVENTION else (13, 11, 10, 13)

@@ -234,3 +234,13 @@ def test_det_factor_forms_agree():
 def test_det_factor_forms_rejects_integer_entries():
     with pytest.raises(ValueError):
         det_factor_forms(1, (Fraction(1), Fraction(1)))
+    # an integral last entry is a wall point, not a cotangent pole; both
+    # forms and q would return roundoff for an exact zero there
+    wall = (Fraction(1, 2), Fraction(1, 2), Fraction(2))
+    with pytest.raises(ValueError, match="^wall point: some entry is a positive integer, q vanishes$"):
+        det_factor_forms(1, wall)
+    with pytest.raises(ValueError, match="^cotangent pole"):
+        det_factor_forms(1, wall[::-1])
+    for entries in (wall, wall[::-1], (Fraction(1), Fraction(1))):
+        with pytest.raises(ValueError, match="^wall point"):
+            q_factor(1, entries)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flatvol import exact, graphs, kernels, recursion
+from flatvol import exact, graphs, recursion
 from flatvol.graphs import (
     FlattenState,
     OuterVertex,
@@ -220,12 +220,12 @@ def test_terms_sum_to_value():
 
 
 def _no_zero_sum_skip(monkeypatch):
-    monkeypatch.setattr(graphs, "_sums_to_zero", lambda graph, convention: False)
+    monkeypatch.setattr(graphs, "_forces_wall", lambda edges, inherited, c, convention: False)
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
 def test_one_marking_wall_value_is_zero(genus, monkeypatch):
-    # v_{g,1}(2g - 1) = 0 from every tree, the fact the zero-sum skip rests on
+    # v_{g,1}(2g - 1) = 0 from every tree, the legless case of the wall rule
     _no_zero_sum_skip(monkeypatch)
     assert evaluate(_w(genus, 2 * genus - 1)).value == 0
 
@@ -236,22 +236,32 @@ def test_one_marking_wall_value_is_zero(genus, monkeypatch):
         (1, ("5/4", "5/4", "1/2")),
         (2, ("4/7", "9/7", "22/7")),
         (3, ("5/3", "13/3")),
+        (1, ("1/2", "2/3", "5/6", "4/3", "7/6", "3/2")),
     ],
 )
 def test_zero_sum_skip_drops_only_cancelling_trees(genus, entries, monkeypatch):
-    # with the skip off every root graph keeps its sum, so the extra trees
-    # sum to 0 per graph, and a skipped root graph's own trees sum to 0
+    # with the wall rule off every root graph keeps its sum, so the extra
+    # trees sum to 0 per graph, and a root graph the rule drops has its
+    # own trees sum to 0; the rule also drops trees below the root
     w = _w(genus, *entries)
     gphs = enumerate_star_graphs(genus, w.labels(), 1)
     with_skip = evaluate(w).terms
-    trees = sum(len(flatten(gph, FlattenState(w))) for gph in gphs)
+    trees = [len(flatten(gph, FlattenState(w))) for gph in gphs]
     skipped = [
-        i for i, gph in enumerate(gphs) if graphs._sums_to_zero(gph, kernels.DEFAULT_CONVENTION)
+        i
+        for i, gph in enumerate(gphs)
+        if any(
+            graphs._forces_wall(ov.edges, (), c, DEFAULT_CONVENTION)
+            for ov, c in zip(gph.outer, graphs.domain_of(gph, w.weight_map()).levels)
+        )
     ]
     _no_zero_sum_skip(monkeypatch)
     assert evaluate(w).terms == with_skip
-    assert sum(len(flatten(gph, FlattenState(w))) for gph in gphs) > trees
+    trees_off = [len(flatten(gph, FlattenState(w))) for gph in gphs]
+    assert all(a <= b for a, b in zip(trees, trees_off))
     assert skipped and all(with_skip[i][1] == 0 for i in skipped)
+    assert all(trees[i] == 0 for i in skipped) and any(trees_off[i] for i in skipped)
+    assert any(0 < trees[i] < trees_off[i] for i in range(len(gphs)))
 
 
 @pytest.mark.parametrize(
