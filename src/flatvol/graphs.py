@@ -17,7 +17,7 @@ to kernel leaves, producing one StarTree per combination: one factor
 polynomial per tree node, in the edge variables, and a cascade of twist
 blocks, with block level 2g_j - 2 + n_j + e_j - sum of leg weights.  The
 factors are never multiplied here; trees that share a node share its
-factor object, and integrate multiplies them on a full-dimensional domain.
+factor object, and integrate multiplies them on a non-empty domain.
 A FlattenState is built from one weight vector, convention and
 child-root policy, and evaluate passes one to every root graph; each
 vertex type is expanded once per state, and a later vertex of the same

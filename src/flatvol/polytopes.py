@@ -7,9 +7,16 @@ first block), so every cascade is closed.  The measure is the projection
 measure: eliminate the last variable of every block and integrate
 d(remaining coordinates).
 
-A zero-dimensional cascade (all blocks singletons) is a single forced
-point, valued by point_value in one forward pass over its blocks.  Any
-other cascade is parametrized to one integer row per cascade variable
+A leaf block, one of e >= 2 variables that no level uses, is integrated
+in closed form before any geometry runs: over b_1 + .. + b_e = c,
+
+    int prod b_i^{m_i} = prod m_i! / (|m| + e - 1)! * c^(|m| + e - 1),
+
+so the block becomes the singleton y = c on its last variable y, whose
+row y >= 0 is the cut c >= 0, and each leaf monomial becomes that power
+of y.  A zero-dimensional cascade (all blocks singletons) is a single
+forced point, valued by point_value in one forward pass over its blocks.
+Any other cascade is parametrized to one integer row per cascade variable
 over the free coordinates, and the rows double as its inequality system.
 Everything from there on is integer: vertex enumeration gives each vertex
 as a primitive homogeneous tuple (den, numerators) with every row's
@@ -35,6 +42,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .exact import MultiPoly, compose_affine, var_name
 
+# largest dimension enumerate_vertices accepts; integrate applies it after folding leaf blocks
 DIM_BOUND = 8
 
 
@@ -230,7 +238,8 @@ def enumerate_vertices(rows: Sequence[Row], free: Sequence[int]) -> VRepPolytope
     """Vertices of {x : b + a.x >= 0 for every row} by exact basis enumeration.
 
     Intended for small bounded systems (the cascade domains); dimensions
-    above DIM_BOUND are refused, split the domain instead.
+    above DIM_BOUND, counted after integrate folds the leaf blocks, are
+    refused, split the domain instead.
     """
     d = len(free)
     if d == 0:
@@ -390,31 +399,75 @@ def point_value(
     return out
 
 
+def _leaf_moments(p: MultiPoly, leaves: Mapping[int, tuple[int, ...]]) -> MultiPoly:
+    """p with its monomials integrated over the leaf blocks (see the module docstring).
+
+    leaves maps the variable y kept for each leaf block to its variables.
+    """
+    owner = {v: y for y, blk in leaves.items() for v in blk}
+    vs = [v for v in p.vars if v not in owner] + list(leaves)
+    slot = {v: j for j, v in enumerate(vs)}
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, c in p.terms.items():
+        e = [0] * len(vs)
+        w = Fraction(c, p.den)
+        for v, m in zip(p.vars, exps):
+            e[slot[owner.get(v, v)]] += m
+            if v in owner:
+                w *= math.factorial(m)
+        for y, blk in leaves.items():
+            e[slot[y]] += len(blk) - 1
+            w /= math.factorial(e[slot[y]])
+        key = tuple(e)
+        out[key] = out.get(key, 0) + w
+    return MultiPoly(vs, out)
+
+
 def integrate(factors: Sequence[MultiPoly], dom: CascadePolytope) -> Fraction:
     """Exact integral of the product of the factors over the cascade.
 
     A zero-dimensional domain (all blocks singletons) is valued by
-    point_value.  Otherwise the cascade is parametrized; a constant row
-    <= 0 makes the domain empty before any vertex is enumerated, and only
-    a full-dimensional polytope has the factors multiplied, the product
-    pulled back onto each simplex of the triangulation from the values of
-    the cascade variables at its vertices, with no free-chart expansion.
+    point_value.  Otherwise the leaf blocks are folded (see the module
+    docstring), and the folded cascade is found empty, before the factors
+    are multiplied, by a level <= 0 at its forced point, a constant row
+    <= 0 of parametrize or a polytope that is not full-dimensional.  The
+    product, with its leaf monomials folded, is evaluated at the forced
+    point or pulled back onto each simplex of the triangulation from the
+    values of the cascade variables at its vertices, with no free-chart
+    expansion.
     """
-    pos = {v: i for i, v in enumerate(dom.variables)}
+    known = set(dom.variables)
     for vid in {v for f in factors for v in f.vars}:
-        if vid not in pos:
+        if vid not in known:
             raise ValueError(f"integrand uses foreign variable {var_name(vid)}")
     if not dom.dimension():
         return point_value(factors, dom, {}, {})
-    ps = parametrize(dom)
-    if any(b <= 0 and not any(a) for b, a, _ in ps.rows):
-        return Fraction(0)
-    vrep = enumerate_vertices(ps.rows, ps.free)
-    if not vrep.full_dim:
+    in_levels = {v for b in dom.blocks for v in b.level.vars}
+    leaves = {
+        b.vars[-1]: b.vars for b in dom.blocks if len(b.vars) > 1 and in_levels.isdisjoint(b.vars)
+    }
+    if leaves:
+        dom = CascadePolytope(
+            tuple(Block((b.vars[-1],), b.level) if b.vars[-1] in leaves else b for b in dom.blocks)
+        )
+    at: dict[int, Fraction] = {}
+    if dom.dimension():
+        ps = parametrize(dom)
+        if any(b <= 0 and not any(a) for b, a, _ in ps.rows):
+            return Fraction(0)
+        vrep = enumerate_vertices(ps.rows, ps.free)
+        if not vrep.full_dim:
+            return Fraction(0)
+    elif not point_value((), dom, at, {}):
         return Fraction(0)
     p = reduce(operator.mul, factors)
+    if leaves:
+        p = _leaf_moments(p, leaves)
+    if not dom.dimension():
+        return p.evaluate(at)
     # every vertex over den * scale, scale the lcm of the row scales of p's
     # variables (a free variable's row has scale 1)
+    pos = {v: i for i, v in enumerate(dom.variables)}
     used = [(v, pos[v]) for v in dict.fromkeys(ps.free + p.vars)]
     scale = math.lcm(*(ps.rows[i][2] for _, i in used))
     lift = [(v, i, scale // ps.rows[i][2]) for v, i in used]

@@ -66,7 +66,7 @@ def evaluate(
     and factors are memoized over one root graph's tree list, where each
     variable belongs to one block and so has one forced value; the memo
     is dropped with the list.  Any other tree's factors go to integrate,
-    which multiplies them only on a full-dimensional polytope.
+    which multiplies them only once the domain is known to be non-empty.
     """
     if i0 not in alpha.labels():
         raise ValueError(f"i0 = {i0} is not a marking label")

@@ -29,12 +29,13 @@ def test_span_targets_resolve_and_fire():
 
     from flatvol import recursion
 
-    # genus 1 at (3/2, 1/2) keeps a one-dimensional tree, so every layer runs
+    # genus 2 at (1/3, 11/3) keeps a tree with a free coordinate once its
+    # leaf blocks are integrated in closed form, so every layer runs
     before = spans.current_targets()
     with spans.Tracer() as tracer:
-        fv = recursion.evaluate(WeightVector(1, (Fraction(3, 2), Fraction(1, 2))))
+        fv = recursion.evaluate(WeightVector(2, (Fraction(1, 3), Fraction(11, 3))))
     assert all(a is b for a, b in zip(before, spans.current_targets()))
-    assert fv.value == Fraction(-1, 192)
+    assert fv.value == Fraction(1, 2187)
     layers = tracer.layers()
     silent = [name for name, row in layers.items() if row["calls"] == 0]
     assert silent == []

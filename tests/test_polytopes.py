@@ -289,6 +289,21 @@ def test_constant_nonpositive_expression_skips_vertices(monkeypatch):
     assert not enumerate_vertices(ps.rows, ps.free).full_dim
     monkeypatch.setattr(MultiPoly, "__mul__", refuse_mul)
     assert integrate(factors, dom) == 0
+    monkeypatch.undo()
+
+    # only the leaf block (x, y) at level u - 1 empties the domain: folded
+    # to its cut, it is the constant row -1/2 beside the free coordinate
+    # a, or a forced point when nothing else is free
+    a, b, c = (fresh_var(f"cz{i}") for i in range(5, 8))
+    parent = (Block((u,), MultiPoly.const(Fraction(1, 2))),)
+    free_parent = parent + (Block((a, b), MultiPoly.one()), Block((c,), MultiPoly.variable(a)))
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse_mul)
+    monkeypatch.setattr(polytopes, "enumerate_vertices", refuse)
+    for blocks in (free_parent, parent):
+        dom = CascadePolytope(blocks + (Block((x, y), MultiPoly.variable(u) - 1),))
+        # unfolded, no row is a constant <= 0
+        assert all(any(a) or b > 0 for b, a, _ in parametrize(dom).rows)
+        assert integrate(factors, dom) == 0
 
 
 def test_integrate_rejects_foreign_variables():
@@ -382,6 +397,14 @@ def test_vertex_enumeration_dim_bound(monkeypatch):
         enumerate_vertices(rows, vs)
 
 
+def test_leaf_block_above_the_dimension_bound():
+    # a lone block is a leaf, integrated in closed form, so the bound on
+    # vertex enumeration does not reach it: the 9-simplex has measure 1/9!
+    vs, dom = _simplex_dom(10, 1, "lb")
+    assert dom.dimension() > DIM_BOUND
+    assert integrate((MultiPoly.one(),), dom) == Fraction(1, math.factorial(9))
+
+
 def _region_integral(p, rows, free, apex_rule="lex_min"):
     vrep = enumerate_vertices(rows, free)
     if not vrep.full_dim:
@@ -432,6 +455,73 @@ def test_integrate_matches_free_chart_pullback():
         assert integrate((p,), dom) == want, trial
         nonzero += want != 0
     assert nonzero >= 30
+
+
+def _leafy_cascade(rng, tag, kind):
+    """A parent cascade with one or two leaf blocks of 2-3 variables below it.
+
+    kind sets the leaf levels: "constant"; "cut", affine and crossing the
+    parent; "empty", negative on all of the parent; "point", over a parent
+    of singletons, so nothing is left free once the leaves are folded.
+    """
+    point = kind == "point"
+
+    def block(j, sizes, level):
+        vs = tuple(fresh_var(f"{tag}{j}{i}") for i in range(rng.randint(*sizes)))
+        return Block(vs, level)
+
+    top = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+    first = block(0, (1, 1) if point else (2, 3), MultiPoly.const(top))
+    head = MultiPoly.variable(first.vars[-1])
+    second = block(1, (1, 1) if point else (1, 2), head * Fraction(rng.randint(1, 3), 2))
+    blocks = [first, second]
+    for j in range(2, rng.randint(3, 4)):
+        x = MultiPoly.variable(rng.choice(first.vars))
+        if kind == "constant":
+            level = MultiPoly.const(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        elif kind == "cut":
+            level = x - top * Fraction(rng.randint(1, 3), 4)
+        elif kind == "empty":
+            level = x - top * Fraction(rng.randint(4, 7), 4)
+        else:
+            level = x * Fraction(rng.randint(-1, 1), 2) + Fraction(rng.randint(-1, 9), 2)
+            level = level + MultiPoly.variable(second.vars[0]) * Fraction(rng.randint(-2, 2), 5)
+        blocks.append(block(j, (2, 3), level))
+    return CascadePolytope(tuple(blocks))
+
+
+def test_leaf_folding_matches_the_uneliminated_fan():
+    # reference: the integrand expanded over the full parametrize rows of
+    # the cascade, leaf coordinates included, and integrated on their fan
+    rng = random.Random(71)
+    seen = dict.fromkeys(("constant", "cut", "empty", "point"), 0)
+    for trial in range(32):
+        kind = list(seen)[trial % 4]
+        dom = _leafy_cascade(rng, f"lf{trial}_", kind)
+        if dom.dimension() > 6:
+            continue
+        p = MultiPoly.zero()
+        for _ in range(rng.randint(1, 3)):
+            term = MultiPoly.const(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3)):
+                term = term * MultiPoly.variable(rng.choice(dom.variables))
+            p = p + term
+        ps = parametrize(dom)
+        _, subst, _ = _substitution_parametrize(dom)
+        want = _region_integral(p.substitute({v: subst[v] for v in p.vars}), ps.rows, ps.free)
+        assert integrate((p,), dom) == want, (trial, kind)
+        assert want == 0 or kind != "empty", trial
+        seen[kind] += want != 0 or kind == "empty"
+    assert min(seen.values()) >= 5, seen
+
+    # one block: c^(|m|+e-1) * prod m_i! / (|m|+e-1)!, the last variable too
+    for ms, c in (((0, 3), Fraction(5, 3)), ((1, 0, 2), Fraction(2, 7)), ((2, 1, 1, 3), Fraction(3))):
+        e = len(ms)
+        vs, dom = _simplex_dom(e, c, "ob")
+        mono = MultiPoly(vs, {ms: 1})
+        k = sum(ms) + e - 1
+        want = c**k * math.prod(map(math.factorial, ms)) / math.factorial(k)
+        assert integrate((mono,), dom) == want
 
 
 def test_vertex_table_on_random_cascades():
