@@ -142,12 +142,6 @@ class MultiPoly:
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return not self.vars
-
     def constant_value(self) -> Fraction:
         if self.vars:
             raise ValueError("polynomial is not constant")
@@ -157,12 +151,6 @@ class MultiPoly:
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, vid: int) -> int:
-        if vid not in self.vars:
-            return 0
-        i = self.vars.index(vid)
-        return max((e[i] for e in self.terms), default=0)
 
     def is_affine(self) -> bool:
         return all(sum(e) <= 1 for e in self.terms)

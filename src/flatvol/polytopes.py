@@ -14,10 +14,10 @@ in closed form before any geometry runs: over b_1 + .. + b_e = c,
 
 so the block becomes the singleton y = c on its last variable y, whose
 row y >= 0 is the cut c >= 0, and each leaf monomial becomes that power
-of y.  A zero-dimensional cascade (all blocks singletons) is a single
-forced point, valued by point_value in one forward pass over its blocks.
-Any other cascade is parametrized to one integer row per cascade variable
-over the free coordinates, and the rows double as its inequality system.
+of y.  A cascade that is, or folds to, singletons only is a single
+forced point, valued in one forward pass over its blocks.  Any other
+cascade is parametrized to one integer row per cascade variable over the
+free coordinates, and the rows double as its inequality system.
 Everything from there on is integer: vertex enumeration gives each vertex
 as a primitive homogeneous tuple (den, numerators) with every row's
 value there, the triangulation fans vertex indices from the
@@ -364,41 +364,6 @@ def integrate_over_simplex(
     return Fraction(abs(pivot) * acc, math.prod(dens) * q.den * top)
 
 
-def point_value(
-    factors: Sequence[MultiPoly],
-    dom: CascadePolytope,
-    at: dict[int, Fraction],
-    factor_at: dict[int, Fraction],
-) -> Fraction:
-    """Product of the factors at the forced point of a zero-dimensional cascade.
-
-    One forward pass over the singleton blocks evaluates each level at the
-    earlier blocks' values and returns 0 at the first level <= 0.  Every
-    factor variable must be one of the cascade's own.
-
-    at (variable id -> forced value) and factor_at (id of a factor ->
-    its value there) are memos that this call fills.  Cascades may share
-    them only while each shared variable has the same forced value in
-    all of them and the factor objects stay alive, as among the trees of
-    one flatten call, where every variable belongs to exactly one block;
-    a flatten state shared across root graphs renames each reuse anew.
-    """
-    for blk in dom.blocks:
-        (vid,) = blk.vars
-        x = at.get(vid)
-        if x is None:
-            x = at[vid] = blk.level.evaluate(at)
-        if x <= 0:
-            return Fraction(0)
-    out = Fraction(1)
-    for f in factors:
-        y = factor_at.get(id(f))
-        if y is None:
-            y = factor_at[id(f)] = f.evaluate(at)
-        out *= y
-    return out
-
-
 def _leaf_moments(p: MultiPoly, leaves: Mapping[int, tuple[int, ...]]) -> MultiPoly:
     """p with its monomials integrated over the leaf blocks (see the module docstring).
 
@@ -426,45 +391,50 @@ def _leaf_moments(p: MultiPoly, leaves: Mapping[int, tuple[int, ...]]) -> MultiP
 def integrate(factors: Sequence[MultiPoly], dom: CascadePolytope) -> Fraction:
     """Exact integral of the product of the factors over the cascade.
 
-    A zero-dimensional domain (all blocks singletons) is valued by
-    point_value.  Otherwise the leaf blocks are folded (see the module
-    docstring), and the folded cascade is found empty, before the factors
-    are multiplied, by a level <= 0 at its forced point, a constant row
-    <= 0 of parametrize or a polytope that is not full-dimensional.  The
-    product, with its leaf monomials folded, is evaluated at the forced
-    point or pulled back onto each simplex of the triangulation from the
-    values of the cascade variables at its vertices, with no free-chart
+    The leaf blocks are folded first (see the module docstring).  A
+    folded cascade of singletons only is its forced point: one forward
+    pass over the blocks returns 0 at the first level <= 0, and otherwise
+    the factors, or their folded product, are evaluated there.  Any other
+    cascade is found empty, before the factors are multiplied, by a
+    constant row <= 0 of parametrize or a polytope that is not
+    full-dimensional; else the product, with its leaf monomials folded,
+    is pulled back onto each simplex of the triangulation from the values
+    of the cascade variables at its vertices, with no free-chart
     expansion.
     """
     known = set(dom.variables)
     for vid in {v for f in factors for v in f.vars}:
         if vid not in known:
             raise ValueError(f"integrand uses foreign variable {var_name(vid)}")
-    if not dom.dimension():
-        return point_value(factors, dom, {}, {})
-    in_levels = {v for b in dom.blocks for v in b.level.vars}
-    leaves = {
-        b.vars[-1]: b.vars for b in dom.blocks if len(b.vars) > 1 and in_levels.isdisjoint(b.vars)
-    }
-    if leaves:
-        dom = CascadePolytope(
-            tuple(Block((b.vars[-1],), b.level) if b.vars[-1] in leaves else b for b in dom.blocks)
-        )
-    at: dict[int, Fraction] = {}
+    leaves: dict[int, tuple[int, ...]] = {}
     if dom.dimension():
-        ps = parametrize(dom)
-        if any(b <= 0 and not any(a) for b, a, _ in ps.rows):
-            return Fraction(0)
-        vrep = enumerate_vertices(ps.rows, ps.free)
-        if not vrep.full_dim:
-            return Fraction(0)
-    elif not point_value((), dom, at, {}):
+        in_levels = {v for b in dom.blocks for v in b.level.vars}
+        leaves = {
+            b.vars[-1]: b.vars for b in dom.blocks if len(b.vars) > 1 and in_levels.isdisjoint(b.vars)
+        }
+        if leaves:
+            dom = CascadePolytope(
+                tuple(Block((b.vars[-1],), b.level) if b.vars[-1] in leaves else b for b in dom.blocks)
+            )
+    if not dom.dimension():
+        at: dict[int, Fraction] = {}
+        for blk in dom.blocks:
+            (vid,) = blk.vars
+            x = at[vid] = blk.level.evaluate(at)
+            if x <= 0:
+                return Fraction(0)
+        if not leaves:
+            return math.prod((f.evaluate(at) for f in factors), start=Fraction(1))
+        return _leaf_moments(reduce(operator.mul, factors), leaves).evaluate(at)
+    ps = parametrize(dom)
+    if any(b <= 0 and not any(a) for b, a, _ in ps.rows):
+        return Fraction(0)
+    vrep = enumerate_vertices(ps.rows, ps.free)
+    if not vrep.full_dim:
         return Fraction(0)
     p = reduce(operator.mul, factors)
     if leaves:
         p = _leaf_moments(p, leaves)
-    if not dom.dimension():
-        return p.evaluate(at)
     # every vertex over den * scale, scale the lcm of the row scales of p's
     # variables (a free variable's row has scale 1)
     pos = {v: i for i, v in enumerate(dom.variables)}
@@ -491,7 +461,7 @@ def lattice_sum(p: MultiPoly, dom: CascadePolytope, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     if not dom.dimension():
-        return float(point_value((p,), dom, {}, {}))
+        return float(integrate((p,), dom))
     ps = parametrize(dom)
     d = len(ps.free)
     if d > 2:

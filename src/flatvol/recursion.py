@@ -30,7 +30,7 @@ from .graphs import (
     twist_multiplicity,
 )
 from .kernels import ConventionFlags, DEFAULT_CONVENTION, q_factor
-from .polytopes import Block, CascadePolytope, integrate, point_value
+from .polytopes import Block, CascadePolytope, integrate
 
 
 class FlatValue(NamedTuple):
@@ -59,14 +59,8 @@ def evaluate(
     to FlattenState; under the default convention no term depends on it.
     One state is built per call and flattens every root graph, so each
     lower vertex type is expanded once per evaluation; it is dropped on
-    return.
-
-    A tree whose domain has no free coordinate is valued by point_value
-    from its unmultiplied node factors.  The forced values of variables
-    and factors are memoized over one root graph's tree list, where each
-    variable belongs to one block and so has one forced value; the memo
-    is dropped with the list.  Any other tree's factors go to integrate,
-    which multiplies them only once the domain is known to be non-empty.
+    return.  Each tree is valued on its own by integrate, which
+    multiplies its factors only once the domain is known to be non-empty.
     """
     if i0 not in alpha.labels():
         raise ValueError(f"i0 = {i0} is not a marking label")
@@ -74,14 +68,9 @@ def evaluate(
     state = FlattenState(alpha, convention, i0_policy)
     terms: list[tuple[str, Fraction]] = []
     for gph in enumerate_star_graphs(alpha.genus, alpha.labels(), i0):
-        at: dict[int, Fraction] = {}
-        factor_at: dict[int, Fraction] = {}
         value = Fraction(0)
         for t in flatten(gph, state):
-            if t.domain.dimension():
-                value += integrate(t.factors, t.domain)
-            else:
-                value += point_value(t.factors, t.domain, at, factor_at)
+            value += integrate(t.factors, t.domain)
         terms.append((gph.encode(weights), value))
     total = sum((v for _, v in terms), Fraction(0))
     return FlatValue(alpha, i0, convention, total, tuple(terms))

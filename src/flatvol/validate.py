@@ -9,7 +9,7 @@ is what the `validate` CLI subcommand emits.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .exact import MultiPoly
 from .graphs import I0_POLICIES, WeightVector
@@ -192,36 +192,36 @@ def _check_integer_vanishing(conv: ConventionFlags) -> tuple[bool, str]:
     return True, f"{len(_INT_POINTS)} points"
 
 
-def _check_wall_quadratic(conv: ConventionFlags) -> tuple[bool, str]:
-    # n=2 wall at entry 1: |v(1 +/- eps, 1 -/+ eps)| should scale like eps^2
+def _wall_scaling(
+    conv: ConventionFlags,
+    genus: int,
+    point: Callable[[Fraction], tuple[Fraction, ...]],
+    power: int,
+    word: str,
+) -> tuple[bool, str]:
+    """|v(point(+-eps))| / eps^power should stay within a factor 1.5 as eps shrinks."""
     ratios = []
     for eps in (Fraction(1, 10), Fraction(1, 40), Fraction(1, 160)):
         for sgn in (1, -1):
-            val = _v(1, (1 + sgn * eps, 1 - sgn * eps), 1, conv)
+            val = _v(genus, point(sgn * eps), 1, conv)
             if val == 0:
-                return False, f"v at eps={eps} is exactly 0, no quadratic scale"
-            ratios.append(abs(float(val)) / float(eps) ** 2)
+                return False, f"v at eps={eps} is exactly 0, no {word} scale"
+            ratios.append(abs(float(val)) / float(eps) ** power)
     lo, hi = min(ratios), max(ratios)
     if hi / lo >= 1.5:
         return False, f"ratio range [{lo:.4g}, {hi:.4g}] varies by {hi / lo:.3f}x"
     return True, f"ratio range [{lo:.4g}, {hi:.4g}]"
+
+
+def _check_wall_quadratic(conv: ConventionFlags) -> tuple[bool, str]:
+    # n=2 wall at entry 1: |v(1 +/- eps, 1 -/+ eps)| should scale like eps^2
+    return _wall_scaling(conv, 1, lambda e: (1 + e, 1 - e), 2, "quadratic")
 
 
 def _check_wall_linear(conv: ConventionFlags) -> tuple[bool, str]:
     # n=4 wall at entry 1: order-1 vanishing along (1+e, 1/3-e, 1/3, 1/3)
     third = Fraction(1, 3)
-    ratios = []
-    for eps in (Fraction(1, 10), Fraction(1, 40), Fraction(1, 160)):
-        for sgn in (1, -1):
-            pt = (1 + sgn * eps, third - sgn * eps, third, third)
-            val = _v(0, pt, 1, conv)
-            if val == 0:
-                return False, f"v at eps={eps} is exactly 0, no linear scale"
-            ratios.append(abs(float(val)) / float(eps))
-    lo, hi = min(ratios), max(ratios)
-    if hi / lo >= 1.5:
-        return False, f"ratio range [{lo:.4g}, {hi:.4g}] varies by {hi / lo:.3f}x"
-    return True, f"ratio range [{lo:.4g}, {hi:.4g}]"
+    return _wall_scaling(conv, 0, lambda e: (1 + e, third - e, third, third), 1, "linear")
 
 
 def _check_small_angle_decay(conv: ConventionFlags) -> tuple[bool, str]:

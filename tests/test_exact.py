@@ -69,15 +69,12 @@ def test_multipoly_basics():
     x, y = fresh_var("x"), fresh_var("y")
     px, py = MultiPoly.variable(x), MultiPoly.variable(y)
     p = px * px + py * Fraction(3) - MultiPoly.const(Fraction(1, 2))
-    assert p.degree_in(x) == 2
-    assert p.degree_in(y) == 1
     assert p.total_degree() == 2
-    assert not p.is_constant()
     assert p.evaluate({x: Fraction(2), y: Fraction(1, 3)}) == 4 + 1 - Fraction(1, 2)
 
-    assert MultiPoly.zero().is_zero()
+    assert MultiPoly.zero().terms == {}
     assert MultiPoly.one().constant_value() == 1
-    assert (p - p).is_zero()
+    assert (p - p).terms == {}
     assert p == p + MultiPoly.zero()
 
 
@@ -119,7 +116,6 @@ def test_multipoly_product_normal_form():
     for zero in (MultiPoly.zero() * (px + py), (px * py) * MultiPoly.zero()):
         assert zero == MultiPoly((x, y), {})
         assert zero.vars == () and zero.terms == {} and zero.den == 1
-        assert zero.is_zero() and zero.is_constant()
     # coefficients are int numerators over one denominator, in lowest terms
     half = (px * 2 + 2) * Fraction(1, 2)
     assert half == px + 1 and half.den == 1 and hash(half) == hash(px + 1)
@@ -193,7 +189,7 @@ def test_multipoly_substitute_composes():
             a = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in (y, s, t)}
             inner = {v: MultiPoly.coerce(img).evaluate(a) for v, img in images.items()}
             assert sub.evaluate(a) == p.evaluate(inner)
-    assert sub.is_zero() and sub.vars == ()
+    assert sub.terms == {} and sub.vars == ()
 
 
 def test_multipoly_substitute_missing_image():

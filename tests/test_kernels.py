@@ -186,9 +186,9 @@ def test_kernel_genus2_slot_degrees():
     # ordinary slots enter through S(x z): degree 2g; the distinguished
     # slot enters through the exponential of z^2-and-up terms: degree g
     body = kernel_A(2, slots, 1, convention=DEFAULT_CONVENTION)
-    assert body.degree_in(x) == 4
+    assert max(e[body.vars.index(x)] for e in body.terms) == 4
     body_i0 = kernel_A(2, slots, 0, convention=DEFAULT_CONVENTION)
-    assert body_i0.degree_in(x) == 2
+    assert max(e[body_i0.vars.index(x)] for e in body_i0.terms) == 2
 
 
 def test_aab_values():

@@ -306,6 +306,53 @@ def test_constant_nonpositive_expression_skips_vertices(monkeypatch):
         assert integrate(factors, dom) == 0
 
 
+def _refuse_geometry(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("geometry or a product on a zero-dimensional cascade")
+
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    monkeypatch.setattr(polytopes, "parametrize", refuse)
+    monkeypatch.setattr(polytopes, "enumerate_vertices", refuse)
+
+
+def _point_cascade(third_level):
+    """Singletons u = 1/2, v = u + 1/3 and w = third_level(v), with two factors."""
+    u, v, w = (fresh_var(f"pt{i}") for i in range(3))
+    pu, pv, pw = map(MultiPoly.variable, (u, v, w))
+    dom = CascadePolytope(
+        (
+            Block((u,), MultiPoly.const(Fraction(1, 2))),
+            Block((v,), pu + Fraction(1, 3)),
+            Block((w,), third_level(pv)),
+        )
+    )
+    return (pu * pv + pw, pv - pw), dom
+
+
+def test_point_cascade_is_the_product_of_its_factor_values(monkeypatch):
+    # at u = 1/2, v = 5/6, w = 1/6 the factors are 7/12 and 2/3
+    factors, dom = _point_cascade(lambda pv: 1 - pv)
+    assert dom.dimension() == 0
+    _refuse_geometry(monkeypatch)
+    assert integrate(factors, dom) == Fraction(7, 12) * Fraction(2, 3)
+
+
+@pytest.mark.parametrize("gap", [0, Fraction(-1, 3)])
+def test_point_cascade_with_a_level_at_most_zero_is_empty(monkeypatch, gap):
+    # w = 5/6 + gap - v is the third level, gap at v = 5/6
+    factors, dom = _point_cascade(lambda pv: Fraction(5, 6) + gap - pv)
+    _refuse_geometry(monkeypatch)
+    assert integrate(factors, dom) == 0
+
+
+def test_lattice_sum_of_a_point_cascade_is_its_integral(monkeypatch):
+    for third_level in (lambda pv: 1 - pv, lambda pv: Fraction(1, 2) - pv):
+        (p, _), dom = _point_cascade(third_level)
+        _refuse_geometry(monkeypatch)
+        assert lattice_sum(p, dom, 5) == float(integrate((p,), dom))
+        monkeypatch.undo()
+
+
 def test_integrate_rejects_foreign_variables():
     vs, dom = _simplex_dom(2, 1, "fv")
     stranger = fresh_var("stranger")
